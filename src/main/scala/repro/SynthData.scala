@@ -11,6 +11,10 @@ import org.apache.spark.sql.types._
   * the DuckDB oracle sees identical input.
   */
 object SynthData {
+  /** Spark seeds `rand` per partition: a fixed partition count, not the core
+    * count, makes every table a function of its sizes and seeds alone. */
+  private val Partitions = 4
+
   private val NLineitemPerSf = 6_000_000L
   private val NOrdersPerSf   = 1_500_000L
   private val NCustomerPerSf =   150_000L
@@ -21,7 +25,7 @@ object SynthData {
   def lineitem(spark: SparkSession, sf: Double = 0.01, seed: Long = 0): DataFrame = {
     import spark.implicits._
     val nOrders = n(NOrdersPerSf, sf); val nPart = n(NPartPerSf, sf)
-    spark.range(n(NLineitemPerSf, sf)).select(
+    spark.range(0, n(NLineitemPerSf, sf), 1, Partitions).select(
       (rand(seed)     * nOrders + 1).cast(LongType)    as "l_orderkey",
       (rand(seed + 1) * nPart   + 1).cast(LongType)    as "l_partkey",
       (rand(seed + 2) * 7 + 1).cast(IntegerType)       as "l_linenumber",
@@ -41,7 +45,7 @@ object SynthData {
   def orders(spark: SparkSession, sf: Double = 0.01, seed: Long = 1): DataFrame = {
     import spark.implicits._
     val nCust = n(NCustomerPerSf, sf)
-    spark.range(1, n(NOrdersPerSf, sf) + 1).toDF("o_orderkey").select(
+    spark.range(1, n(NOrdersPerSf, sf) + 1, 1, Partitions).toDF("o_orderkey").select(
       $"o_orderkey",
       (rand(seed)     * nCust + 1).cast(LongType)             as "o_custkey",
       element_at(array(lit("O"), lit("F"), lit("P")),
@@ -54,7 +58,7 @@ object SynthData {
 
   def customer(spark: SparkSession, sf: Double = 0.01, seed: Long = 2): DataFrame = {
     import spark.implicits._
-    spark.range(1, n(NCustomerPerSf, sf) + 1).toDF("c_custkey").select(
+    spark.range(1, n(NCustomerPerSf, sf) + 1, 1, Partitions).toDF("c_custkey").select(
       $"c_custkey",
       (rand(seed) * 25).cast(IntegerType)                as "c_nationkey",
       round(rand(seed + 1) * 10000 - 1000, 2)            as "c_acctbal",
@@ -64,38 +68,18 @@ object SynthData {
     )
   }
 
-  def part(spark: SparkSession, sf: Double = 0.01, seed: Long = 5): DataFrame = {
-    import spark.implicits._
-    spark.range(1, n(NPartPerSf, sf) + 1).toDF("p_partkey").select(
-      $"p_partkey",
-      element_at(array(lit("STANDARD"), lit("SMALL"), lit("MEDIUM"),
-                       lit("LARGE"), lit("ECONOMY"), lit("PROMO")),
-                 (rand(seed) * 6 + 1).cast("int"))              as "p_type",
-      (rand(seed + 1) * 50 + 1).cast(IntegerType)               as "p_size",
-      round(lit(900.0) + ($"p_partkey" % 1000) / 10.0, 2)       as "p_retailprice",
-    )
-  }
-
   /** Skewed key column — for join-skew / cardinality-estimation papers. */
   def zipfKeys(spark: SparkSession, rows: Long, nKeys: Long,
                alpha: Double = 1.1, seed: Long = 3): DataFrame = {
     import spark.implicits._
     // Inverse-CDF draw over rank weights 1/k^alpha; good enough for skew.
     val norm = (1L to math.min(nKeys, 10000L)).map(k => 1.0 / math.pow(k, alpha)).sum
-    spark.range(rows).select(
+    spark.range(0, rows, 1, Partitions).select(
       least(lit(nKeys),
             greatest(lit(1L),
               pow(lit(1.0) / (rand(seed) * norm + 1e-9), lit(1.0 / alpha)).cast(LongType)
             )) as "k",
       rand(seed + 1) as "v",
-    )
-  }
-
-  def uniformKeys(spark: SparkSession, rows: Long, nKeys: Long, seed: Long = 4): DataFrame = {
-    import spark.implicits._
-    spark.range(rows).select(
-      (rand(seed) * nKeys + 1).cast(LongType) as "k",
-      rand(seed + 1)                          as "v",
     )
   }
 
@@ -125,34 +109,34 @@ object SynthData {
     */
   def pathR1(spark: SparkSession, rows: Long, nKeysB: Long, seed: Long = 10,
              nComp: Int = 4, sigma: Double = 3.0): DataFrame =
-    spark.range(rows).select(
+    spark.range(0, rows, 1, Partitions).select(
       mixture(seed, nComp, sigma)  as "a1",
       keyCol(seed + 1, nKeysB)     as "b",
     )
 
   def pathR2(spark: SparkSession, rows: Long, nKeysB: Long, nKeysC: Long,
              seed: Long = 20): DataFrame =
-    spark.range(rows).select(
+    spark.range(0, rows, 1, Partitions).select(
       keyCol(seed, nKeysB)     as "b",
       keyCol(seed + 1, nKeysC) as "c",
     )
 
   def pathR3(spark: SparkSession, rows: Long, nKeysC: Long, seed: Long = 30,
              nComp: Int = 3, sigma: Double = 3.0): DataFrame =
-    spark.range(rows).select(
+    spark.range(0, rows, 1, Partitions).select(
       keyCol(seed, nKeysC)        as "c",
       mixture(seed + 1, nComp, sigma) as "a2",
     )
 
   /** Triangle query R(a,b), S(b,c), T(c,a) — cyclic, fhw = 3/2. */
   def triangleR(spark: SparkSession, rows: Long, nKeys: Long, seed: Long = 40): DataFrame =
-    spark.range(rows).select(keyCol(seed, nKeys) as "a", keyCol(seed + 1, nKeys) as "b")
+    spark.range(0, rows, 1, Partitions).select(keyCol(seed, nKeys) as "a", keyCol(seed + 1, nKeys) as "b")
 
   def triangleS(spark: SparkSession, rows: Long, nKeys: Long, seed: Long = 50): DataFrame =
-    spark.range(rows).select(keyCol(seed, nKeys) as "b", keyCol(seed + 1, nKeys) as "c")
+    spark.range(0, rows, 1, Partitions).select(keyCol(seed, nKeys) as "b", keyCol(seed + 1, nKeys) as "c")
 
   def triangleT(spark: SparkSession, rows: Long, nKeys: Long, seed: Long = 60): DataFrame =
-    spark.range(rows).select(keyCol(seed, nKeys) as "c", keyCol(seed + 1, nKeys) as "a")
+    spark.range(0, rows, 1, Partitions).select(keyCol(seed, nKeys) as "c", keyCol(seed + 1, nKeys) as "a")
 
   /** TPC-H-lite FK join lineitem ⋈ orders ⋈ customer projected to numeric
     * attributes — the "realistic schema" workload (join size = |lineitem|,

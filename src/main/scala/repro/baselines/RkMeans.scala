@@ -4,13 +4,13 @@ import org.apache.spark.sql.Column
 import org.apache.spark.sql.functions._
 import repro.cluster.{GammaAlg, Weighted}
 import repro.cluster.Weighted.Pt
-import repro.join.{AcyclicQuery, LeafHistogram, Yannakakis}
+import repro.join.{AcyclicQuery, LocalJoinIndex, Yannakakis}
 import scala.util.Random
 
 /** Curtin et al. [23] — rk-means, the grid-coreset baseline of Table 1.
   *
   * 1. For each of the d dimensions, solve the weighted 1-D k-means on the
-  *    exact projection histogram (computed relationally) — k centers per dim.
+  *    exact projection histogram (from a [[LocalJoinIndex]]) — k centers per dim.
   * 2. Every join tuple snaps to the grid cell given by its per-dimension
   *    nearest centers; there are at most k^d nonempty cells (the k^m factor
   *    in Table 1's running time).
@@ -24,20 +24,17 @@ object RkMeans {
   /** `totalWeight` must equal |q(D)| — the grid cells partition the join. */
   final case class Result(centers: Array[Pt], gridSize: Int, totalWeight: Double)
 
-  def run(q0: AcyclicQuery, k: Int, gamma: GammaAlg, seed: Long): Result = {
-    val red = Yannakakis.fullReduce(q0)
-    val q = red.copy(relations = red.relations.map(r => r.copy(df = r.df.cache())))
-    try runReduced(q, k, gamma, seed)
-    finally q.relations.foreach(_.df.unpersist())
-  }
+  def run(q0: AcyclicQuery, k: Int, gamma: GammaAlg, seed: Long): Result =
+    Yannakakis.withReduced(q0)(runReduced(_, k, gamma, seed))
 
   private def runReduced(q: AcyclicQuery, k: Int, gamma: GammaAlg, seed: Long): Result = {
     val rng = new Random(seed)
     val attrs = q.allAttrs
+    val index = LocalJoinIndex.build(q)
 
     // 1. per-dimension centers, sorted
     val dimCenters: Map[String, Array[Double]] = attrs.map { a =>
-      val hist = LeafHistogram.histogram(q, a)
+      val hist = index.histogram(a)
       val cs = gamma.cluster(hist.map(h => Array(h._1)), hist.map(_._2), k, rng)
       a -> cs.map(_(0)).sorted
     }.toMap

@@ -60,7 +60,7 @@ object Harness {
     val (fastD, tFastD) = time(RelKClustering.run(q, k,
       (obj match { case Means => KMeansAlg(discrete = true)
                    case Median => KMedianAlg(discrete = true) }),
-      conf, FastBatched, discrete = true))
+      conf, FastBatched))
     rows += score("NEW-fast discrete", fastD.centers, tFastD, "centers from q(D)")
 
     if (includeSlow) {
@@ -93,17 +93,6 @@ object Harness {
     rows += Row("full-join (2-step)", baseCost, 1.0, tBase,
       s"join=${base.joinSize} clustered=${base.clusteredRows}")
     rows.toSeq
-  }
-
-  /** Time-only comparison for the N-scaling sweep: NEW-fast vs the two-step
-    * baseline as the join blows up. Returns (fastTime, fastRu, joinTime, joinSize).
-    */
-  def scalePoint(q: AcyclicQuery, obj: Objective, k: Int,
-                 conf: CoreConf): (Double, Double, Double, Long) = {
-    val gamma = gammaFor(obj)
-    val (fast, tFast) = time(RelKClustering.run(q, k, gamma, conf, FastBatched))
-    val (base, tBase) = time(FullJoin.run(q, k, gamma, seed = conf.seed))
-    (tFast, fast.rU, tBase, base.joinSize)
   }
 
   private def f(x: Double): String = f"$x%.4g"

@@ -11,6 +11,8 @@ import Weighted._
   */
 trait GammaAlg {
   def objective: Objective
+  /** Whether the centers are input points (the Dk*Alg variants). */
+  def discrete: Boolean
   /** Returns k centers (fewer if fewer distinct points exist). */
   def cluster(pts: Array[Pt], w: Array[Double], k: Int, rng: Random): Array[Pt]
 }

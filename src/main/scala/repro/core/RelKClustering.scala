@@ -2,7 +2,7 @@ package repro.core
 
 import repro.cluster._
 import repro.cluster.Weighted.Pt
-import repro.join.{AcyclicQuery, LeafHistogram, LocalJoinIndex, Yannakakis}
+import repro.join.{AcyclicQuery, LocalJoinIndex, Yannakakis}
 import scala.util.Random
 
 /** Which RelClustering engine the inner nodes of Algorithm 3 use. */
@@ -25,30 +25,23 @@ final case class RelKResult(
 
 /** Algorithm 3 — Rel-K-Median / Rel-K-Means.
   *
-  * Builds a balanced binary tree over the attributes. Each leaf solves the
-  * exact weighted 1-D problem on the projection histogram H_u (computed with
-  * counting Yannakakis on DataFrames, never materializing the join). Each
+  * Collects the semi-join reduced relations once into a [[LocalJoinIndex]],
+  * then builds a balanced binary tree over the attributes in local memory.
+  * Each leaf solves the exact weighted 1-D problem on the projection
+  * histogram H_u, read off the index (never materializing the join). Each
   * inner node u with children v, z takes X = S_v x S_z, r = r_v + r_z — an
   * alpha-approximation of OPT on q_u(D) by Lemma 4.1 / A.9 — and refines it
-  * to exactly k centers via RelClusteringFast/Slow (Section 3).
+  * to exactly k centers via RelClusteringFast/Slow (Section 3). A discrete
+  * `gamma` (centers ⊆ q(D)) selects the discrete variants' alpha.
   */
 object RelKClustering {
 
   def run(q0: AcyclicQuery, k: Int, gamma: GammaAlg, conf: CoreConf,
-          mode: Mode = FastBatched, discrete: Boolean = false,
-          attrsOverride: Option[Seq[String]] = None): RelKResult = {
-    // cache the reduced relations: every leaf histogram and the index build
-    // re-reads them, and recomputing the semi-join lineage each time would
-    // multiply the O(N) passes
-    val red = Yannakakis.fullReduce(q0)
-    val q = red.copy(relations = red.relations.map(r => r.copy(df = r.df.cache())))
-    try runReduced(q, k, gamma, conf, mode, discrete, attrsOverride)
-    finally q.relations.foreach(_.df.unpersist())
-  }
+          mode: Mode = FastBatched, attrsOverride: Option[Seq[String]] = None): RelKResult =
+    Yannakakis.withReduced(q0)(runReduced(_, k, gamma, conf, mode, attrsOverride))
 
   private def runReduced(q: AcyclicQuery, k: Int, gamma: GammaAlg, conf: CoreConf,
-                         mode: Mode, discrete: Boolean,
-                         attrsOverride: Option[Seq[String]]): RelKResult = {
+                         mode: Mode, attrsOverride: Option[Seq[String]]): RelKResult = {
     val index = LocalJoinIndex.build(q)
     val n = index.n
     require(n > 0, "join result is empty")
@@ -70,7 +63,7 @@ object RelKClustering {
         case Median => (1 + conf.epsilon) * math.sqrt(2.0)
         case Means  => (1 + conf.epsilon)
       }
-      if (discrete) 2 * (2 + conf.epsilon) / (1 + conf.epsilon) * base else base
+      if (gamma.discrete) 2 * (2 + conf.epsilon) / (1 + conf.epsilon) * base else base
     }
 
     var maxCoreset = 0
@@ -80,8 +73,7 @@ object RelKClustering {
       */
     def solve(lo: Int, hi: Int): (Array[Pt], Double) = {
       if (hi - lo == 1) {
-        val attr = attrs(lo)
-        val hist = LeafHistogram.histogram(q, attr)
+        val hist = index.histogram(attrs(lo))
         val pts = hist.map(h => Array(h._1))
         val w = hist.map(_._2)
         val s = gamma.cluster(pts, w, k, rng)

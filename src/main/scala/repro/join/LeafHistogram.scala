@@ -1,22 +1,14 @@
 package repro.join
 
-import org.apache.spark.sql.functions._
-
 /** Algorithm 3, leaf case (lines 2-8): the exact weighted 1-D projection
   * multiset H_u = pi_A(q(D)) with w(p) = |{t in q(D) : pi_A(t) = p}|.
   *
-  * Computed by rooting the join tree at a relation containing A, running the
-  * counting Yannakakis pass (DataFrame joins + aggregations), and grouping
-  * the root counts by A. Never materializes q(D).
+  * A stand-alone entry point that builds a [[LocalJoinIndex]] for one
+  * histogram; callers that hold an index call [[LocalJoinIndex.histogram]]
+  * on it. Never materializes q(D).
   */
 object LeafHistogram {
-  /** (value, weight) pairs; weights sum to |q(D)|. */
-  def histogram(q: AcyclicQuery, attr: String): Array[(Double, Double)] = {
-    val tree = q.rootedAtAttr(attr)
-    val rc = Yannakakis.rootCounts(tree)
-    rc.groupBy(col(attr).cast("double").as("v"))
-      .agg(sum(Yannakakis.Cnt).as("w"))
-      .collect()
-      .map(r => (r.getDouble(0), r.getLong(1).toDouble))
-  }
+  /** (value, weight) pairs in ascending value order; weights sum to |q(D)|. */
+  def histogram(q: AcyclicQuery, attr: String): Array[(Double, Double)] =
+    LocalJoinIndex.build(q).histogram(attr)
 }

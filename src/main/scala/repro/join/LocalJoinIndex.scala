@@ -6,7 +6,8 @@ import scala.util.Random
 
 /** Driver-side implementation of Lemma 2.1: `CountRect` and `SampleRect` over
   * the (never materialized) join result q(D), restricted to an axis-parallel
-  * box.
+  * box. It is also the only place that counts join participation per tuple:
+  * Algorithm 3's leaf histograms H_u come from [[histogram]].
   *
   * The index is built from the query's *input* relations — O(N) rows total,
   * which is exactly the premise of relational algorithms (inputs small, join
@@ -75,10 +76,56 @@ final class LocalJoinIndex private (
   def sampleUniform(z: Int, rng: Random): Array[Array[Double]] =
     sample(unfiltered, z, rng)
 
+  /** H_u of Algorithm 3 (lines 2-8): each value p of `attr` in q(D) with
+    * w(p) = |{t in q(D) : t.attr = p}|, in ascending value order, from the
+    * participation counts of one relation holding `attr`. Values of dangling
+    * rows (weight 0) are absent; the weights sum to n.
+    */
+  def histogram(attr: String): Array[(Double, Double)] = {
+    val v = nodes.indexWhere(_.attrIdx.contains(attrIdx(attr)))
+    val col = nodes(v).attrIdx.indexOf(attrIdx(attr))
+    val w = participation(v)
+    nodes(v).rows.indices.filter(w(_) > 0)
+      .groupMapReduce(nodes(v).rows(_)(col))(w(_))(_ + _)
+      .toArray.sortBy(_._1)(Ordering.Double.TotalOrdering)
+  }
+
+  /** Per node, each row's join participation count: its up-count (from
+    * [[buildWeights]]) times its down-count, the top-down half of Yannakakis'
+    * message passing. A child row's down-count sums, over the parent rows
+    * sharing its key, the parent's down-count times the messages of the
+    * parent's other children, so no division is needed. Built on first use.
+    */
+  private lazy val participation: Array[Array[Double]] = {
+    val down = new Array[Array[Double]](nodes.length)
+    down(0) = Array.fill(nodes(0).rows.length)(1.0)
+    for (v <- nodes.indices) { // parents come before children in `nodes`
+      val node = nodes(v)
+      val kids = node.children
+      val keyIdx = kids.map(c => node.localIdxOfGlobals(nodes(c).sharedGlobal))
+      val toChild = Array.fill(kids.length)(mutable.HashMap.empty[Key, Double].withDefaultValue(0.0))
+      for (i <- node.rows.indices if down(v)(i) > 0) {
+        val keys = keyIdx.map(keyOf(node.rows(i), _))
+        val m = kids.indices.map(ci => unfiltered.msgs(kids(ci)).get(keys(ci)).fold(0.0)(_.total))
+        for (ci <- kids.indices) {
+          val d = kids.indices.foldLeft(down(v)(i))((acc, cj) => if (cj == ci) acc else acc * m(cj))
+          if (d > 0) toChild(ci)(keys(ci)) += d
+        }
+      }
+      for (ci <- kids.indices) {
+        val child = nodes(kids(ci))
+        val shared = child.localIdxOfGlobals(child.sharedGlobal)
+        down(kids(ci)) = child.rows.map(r => toChild(ci)(keyOf(r, shared)))
+      }
+    }
+    Array.tabulate(nodes.length)(v => Array.tabulate(down(v).length)(i => unfiltered.up(v)(i) * down(v)(i)))
+  }
+
   // ------------------------------------------------------------------
 
-  /** Per-query dynamic program: for every relation tuple passing the box
-    * filter, the number of join results of its subtree it participates in;
+  /** Per-query dynamic program (the bottom-up half of Yannakakis' message
+    * passing): for every relation tuple passing the box filter, the number
+    * of join results of its subtree it participates in (its up-count);
     * tuples grouped by the attributes shared with the parent, with cumulative
     * weights for top-down sampling.
     */
@@ -119,25 +166,20 @@ final class LocalJoinIndex private (
           j += 1
         }
         val msg = mutable.HashMap.empty[Key, Group]
-        grouped.foreach { case (k, idxs) =>
-          val ridx = idxs.toArray
-          val cum = new Array[Double](ridx.length)
-          var acc = 0.0
-          var t = 0
-          while (t < ridx.length) { acc += cnt(ridx(t)); cum(t) = acc; t += 1 }
-          msg(k) = Group(ridx, cum, acc)
-        }
+        grouped.foreach { case (k, idxs) => msg(k) = group(idxs.toArray, cnt) }
         msgs(v) = msg
       }
     }
-    // root cumulative
-    val rootCnt = cnts(0)
-    val ridx = rootCnt.indices.filter(rootCnt(_) > 0).toArray
+    Weights(msgs, group(cnts(0).indices.filter(cnts(0)(_) > 0).toArray, cnts(0)), cnts)
+  }
+
+  /** The rows `ridx` with cumulative counts, for drawing one by weight. */
+  private def group(ridx: Array[Int], cnt: Array[Double]): Group = {
     val cum = new Array[Double](ridx.length)
     var acc = 0.0
     var t = 0
-    while (t < ridx.length) { acc += rootCnt(ridx(t)); cum(t) = acc; t += 1 }
-    Weights(msgs, Group(ridx, cum, acc))
+    while (t < ridx.length) { acc += cnt(ridx(t)); cum(t) = acc; t += 1 }
+    Group(ridx, cum, acc)
   }
 
   private def passes(node: Node, row: Array[Double],
@@ -216,7 +258,9 @@ object LocalJoinIndex {
   /** Tuples of one relation sharing a parent-key, with cumulative subtree counts. */
   final case class Group(rowIdx: Array[Int], cum: Array[Double], total: Double)
 
-  final case class Weights(msgs: Array[mutable.HashMap[Key, Group]], root: Group)
+  /** Per-node child messages, the root's group, and every row's up-count. */
+  final case class Weights(msgs: Array[mutable.HashMap[Key, Group]], root: Group,
+                           up: Array[Array[Double]])
 
   final case class Node(
       name: String,
@@ -231,7 +275,9 @@ object LocalJoinIndex {
 
   /** Collect the query's relations (cast to double) and build the index.
     * Pass the *reduced* query for tight per-tuple counts; an unreduced query
-    * still yields correct results (dangling tuples get count 0).
+    * still yields correct results (dangling tuples get count 0). -0.0 is
+    * stored as 0.0, since `Key` compares bit patterns and Spark's equi-join
+    * treats the two as equal.
     */
   def build(q: AcyclicQuery): LocalJoinIndex = {
     val attrs = q.allAttrs.filterNot(_.startsWith(Yannakakis.CarryPrefix)).toArray
@@ -245,7 +291,7 @@ object LocalJoinIndex {
       val rows = t.rel.df
         .select(cols.map(c => col(c).cast("double")): _*)
         .collect()
-        .map(r => Array.tabulate(cols.length)(i => r.getDouble(i)))
+        .map(r => Array.tabulate(cols.length)(i => r.getDouble(i) + 0.0)) // -0.0 + 0.0 == +0.0
       buf += Node(
         t.rel.name,
         cols.map(attrIndex).toArray,

@@ -24,8 +24,7 @@ final case class JoinTree(rel: Relation, children: Seq[JoinTree]) {
 /** An acyclic join query: its relations plus an (undirected) join tree given
   * as parent/child name pairs. Because the running-intersection property is a
   * property of the undirected tree, the query may be re-rooted at any
-  * relation — Algorithm 3's leaf step roots at a relation containing the
-  * target attribute.
+  * relation.
   */
 final case class AcyclicQuery(relations: Seq[Relation], edges: Seq[(String, String)]) {
   require(relations.map(_.name).distinct.size == relations.size, "duplicate relation names")
@@ -54,11 +53,6 @@ final case class AcyclicQuery(relations: Seq[Relation], edges: Seq[(String, Stri
     require(t.relations.size == relations.size, "join tree is disconnected")
     t
   }
-
-  /** Root at some relation containing attribute `a` (Algorithm 3, line 2). */
-  def rootedAtAttr(a: String): JoinTree =
-    rooted(relations.find(_.attrSet.contains(a))
-      .getOrElse(sys.error(s"no relation contains attribute $a")).name)
 
   /** Same query over new DataFrames (e.g. after semi-join reduction). */
   def withDfs(dfs: Map[String, DataFrame]): AcyclicQuery =

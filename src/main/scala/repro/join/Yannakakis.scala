@@ -1,19 +1,18 @@
 package repro.join
 
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 /** Yannakakis-style passes over an acyclic join query, expressed entirely in
   * the DataFrame API (Catalyst plans the semi-joins / aggregations):
   *
   *  - [[fullReduce]]   : classic full reducer — keeps only non-dangling tuples.
-  *  - [[rootCounts]]   : counting Yannakakis — annotates every root tuple h
-  *                       with c(h) = |{t in q(D) : pi_root(t) = h}| (Alg 3, l.4).
-  *  - [[countJoin]]    : |q(D)| without materializing the join.
+  *  - [[withReduced]]  : runs a function on the reduced query, cached.
   *  - [[countsByCarry]]: |q(D)| grouped by "carried" derived columns (columns
   *                       whose name starts with a marker prefix), used for the
   *                       rk-means [23] grid-cell weights. Carried columns must
   *                       have globally unique names.
+  *  - [[countJoin]]    : |q(D)| without materializing the join.
   *  - [[materialize]]  : the full join (two-step baseline only!).
   */
 object Yannakakis {
@@ -62,36 +61,24 @@ object Yannakakis {
     q.withDfs(reduced.toMap)
   }
 
-  /** Root relation annotated with a `__cnt` column: the number of join
-    * results each root tuple participates in. Works bottom-up, joining each
-    * child's aggregated subtree counts on the shared attributes. Dangling
-    * root tuples are dropped (inner joins), so run [[fullReduce]] first if
-    * you need them all retained with count 0 — for counting purposes dropping
-    * them is correct.
+  /** Runs `f` on the fully reduced query with every relation cached, and
+    * unpersists them afterwards. The cache lets the index build's one
+    * collect per relation share the semi-join lineage instead of recomputing
+    * it for each relation.
     */
-  def rootCounts(tree: JoinTree): DataFrame = {
-    def annotate(node: JoinTree): DataFrame = {
-      var df = node.rel.df.withColumn(Cnt, lit(1L))
-      node.children.zipWithIndex.foreach { case (c, i) =>
-        val s = shared(node, c)
-        val childCol = s"__c$i"
-        val cdf = annotate(c)
-        val msg =
-          if (s.nonEmpty) cdf.groupBy(s.map(col): _*).agg(sum(Cnt).as(childCol))
-          else cdf.agg(sum(Cnt).as(childCol))
-        df = if (s.nonEmpty) df.join(msg, s) else df.crossJoin(msg)
-        df = df.withColumn(Cnt, col(Cnt) * col(childCol)).drop(childCol)
-      }
-      df
-    }
-    annotate(tree)
+  def withReduced[A](q: AcyclicQuery)(f: AcyclicQuery => A): A = {
+    val red = fullReduce(q)
+    val cached = red.copy(relations = red.relations.map(r => r.copy(df = r.df.cache())))
+    try f(cached)
+    finally cached.relations.foreach(_.df.unpersist())
   }
 
-  /** |q(D)| in O(N)-style passes (no join materialization). */
-  def countJoin(q: AcyclicQuery): Long = {
-    val root = rootCounts(q.rooted(q.relations.head.name))
-    root.agg(coalesce(sum(Cnt), lit(0L))).head.getLong(0)
-  }
+  /** |q(D)| in O(N)-style passes (no join materialization): the sum of the
+    * [[countsByCarry]] groups, a single group for an uncarried query.
+    */
+  def countJoin(q: AcyclicQuery): Long =
+    countsByCarry(q.rooted(q.relations.head.name))
+      .agg(coalesce(sum(Cnt), lit(0L))).head().getLong(0)
 
   /** Join-result counts grouped by all carried (`cc_`-prefixed) columns.
     * Carried columns flow up the tree inside each group-by, so intermediate

@@ -16,8 +16,9 @@ class EdgeCasesSpec extends SparkSpec {
     val q = Yannakakis.fullReduce(TestData.pathQuery(spark))
     val idx = LocalJoinIndex.build(q)
     val (lo, hi) = idx.fullBox
-    // squeeze a1 to a sliver between mixture components: few join results
-    lo(idx.attrIdx("a1")) = 30.0; hi(idx.attrIdx("a1")) = 30.2
+    // squeeze a1 to a sliver around a value drawn from the join: few join results
+    val a1 = idx.sampleUniform(1, new Random(0)).head(idx.attrIdx("a1"))
+    lo(idx.attrIdx("a1")) = a1 - 0.1; hi(idx.attrIdx("a1")) = a1 + 0.1
     val pop = idx.countBox(lo, hi)
     assert(pop > 0 && pop < 5000, s"pop=$pop — adjust the sliver")
     val z = (pop * 4).toInt.max(1000)

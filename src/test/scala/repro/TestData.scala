@@ -1,7 +1,8 @@
 package repro
 
 import org.apache.spark.sql.SparkSession
-import repro.join.{AcyclicQuery, GYO, Relation, Yannakakis}
+import org.apache.spark.sql.functions.col
+import repro.join.{AcyclicQuery, GYO, LocalJoinIndex, Relation, Yannakakis}
 
 /** Shared tiny workloads for the unit-test suites. All cached so repeated
   * actions (and the DuckDB oracle) see identical data.
@@ -41,4 +42,33 @@ object TestData {
   /** The DuckDB FROM/WHERE clause of the path join. */
   val pathJoinSql: String =
     "FROM r1, r2, r3 WHERE r1.b = r2.b AND r2.c = r3.c"
+
+  /** The DuckDB FROM/WHERE clause of any acyclic query: its relations, with
+    * the shared attributes equal along every join-tree edge.
+    */
+  def joinSql(q: AcyclicQuery): String = {
+    val conds = q.edges.flatMap { case (a, b) =>
+      q.relation(a).attrs.filter(q.relation(b).attrSet).map(c => s"$a.$c = $b.$c")
+    }
+    s"FROM ${q.relations.map(_.name).mkString(", ")}" +
+      (if (conds.isEmpty) "" else conds.mkString(" WHERE ", " AND ", ""))
+  }
+
+  /** Checks the index histogram of every attribute of `q` against DuckDB's
+    * group-by over the join, and that its weights sum exactly to `countJoin`.
+    */
+  def assertHistogramsMatchDuckDB(spark: SparkSession, q: AcyclicQuery): Unit = {
+    import spark.implicits._
+    val index = LocalJoinIndex.build(q)
+    val n = Yannakakis.countJoin(q).toDouble
+    for (a <- q.allAttrs) {
+      val h = index.histogram(a)
+      require(h.map(_._2).sum == n, s"histogram of $a sums to ${h.map(_._2).sum}, not $n")
+      val rel = q.relations.find(_.attrSet.contains(a)).get.name
+      Oracle.assertEquivalent(
+        h.toSeq.toDF("v", "w").withColumn("w", col("w").cast("long")),
+        s"SELECT CAST($rel.$a AS DOUBLE) AS v, COUNT(*) AS w ${joinSql(q)} GROUP BY 1",
+        q.relations.map(r => r.name -> r.df): _*)
+    }
+  }
 }

@@ -82,7 +82,7 @@ class VariationsSpec extends SparkSpec {
   test("slow + discrete k-means end-to-end on a 2-attr projection") {
     val res = RelKClustering.run(q, 3, KMeansAlg(discrete = true),
       CoreConf(epsilon = 0.5, cellsPerSide = 8, sampleSize = 3000, seed = 8),
-      SlowDeterministic, discrete = true, attrsOverride = Some(Seq("a1", "a2")))
+      SlowDeterministic, attrsOverride = Some(Seq("a1", "a2")))
     val projSet = proj.map(_.toSeq).toSet
     res.centers.foreach(c => assert(projSet.contains(c.toSeq)))
     val mine = Weighted.costUnweighted(proj, res.centers, Means)

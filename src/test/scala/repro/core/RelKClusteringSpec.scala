@@ -60,8 +60,7 @@ class RelKClusteringSpec extends SparkSpec {
   }
 
   test("discrete Rel-K-Median returns centers that are join tuples") {
-    val res = RelKClustering.run(q, k, KMedianAlg(discrete = true), conf,
-      FastBatched, discrete = true)
+    val res = RelKClustering.run(q, k, KMedianAlg(discrete = true), conf, FastBatched)
     res.centers.foreach(c => assert(truthSet.contains(c.toSeq),
       s"center ${c.toSeq} is not a join result"))
     val mine = trueCost(res.centers, Median)
@@ -70,8 +69,7 @@ class RelKClusteringSpec extends SparkSpec {
   }
 
   test("discrete Rel-K-Means returns centers that are join tuples") {
-    val res = RelKClustering.run(q, k, KMeansAlg(discrete = true), conf,
-      FastBatched, discrete = true)
+    val res = RelKClustering.run(q, k, KMeansAlg(discrete = true), conf, FastBatched)
     res.centers.foreach(c => assert(truthSet.contains(c.toSeq)))
     val mine = trueCost(res.centers, Means)
     val base = trueCost(baselineMeans.centers, Means)

@@ -27,9 +27,7 @@ class ChainQuerySpec extends SparkSpec {
   }
 
   test("chain count is invariant under every rooting") {
-    val counts = q.relations.map(r =>
-      Yannakakis.rootCounts(q.rooted(r.name))
-        .agg(coalesce(sum(Yannakakis.Cnt), lit(0L))).head.getLong(0))
+    val counts = q.relations.map(r => Yannakakis.countsByCarry(q.rooted(r.name)).head().getLong(0))
     assert(counts.distinct.size == 1, counts.toString)
   }
 
@@ -48,6 +46,11 @@ class ChainQuerySpec extends SparkSpec {
       h.toSeq.toDF("v", "w").withColumn("w", col("w").cast("long")),
       s"SELECT CAST(r2.c AS DOUBLE) AS v, COUNT(*) AS w $sql GROUP BY 1",
       tables: _*)
+  }
+
+  test("chain histograms of every attribute match DuckDB") {
+    // r3 (attribute d) and r4 (attribute a2) sit at depth 2 and 3 of the index
+    repro.TestData.assertHistogramsMatchDuckDB(spark, q)
   }
 
   test("chain box count matches brute force") {

@@ -34,6 +34,26 @@ class LeafHistogramSpec extends SparkSpec {
     }
   }
 
+  test("every attribute's histogram matches DuckDB on the path join, rooted at an end or the middle") {
+    // the index roots at the first relation: at r2, r1 and r3 are siblings
+    for (root <- Seq("r1", "r2"))
+      TestData.assertHistogramsMatchDuckDB(spark, path.copy(relations = path.relations.sortBy(_.name != root)))
+  }
+
+  test("every attribute's histogram matches DuckDB on the TPC-H-lite FK join") {
+    TestData.assertHistogramsMatchDuckDB(spark, TestData.tpchQuery(spark))
+  }
+
+  test("an unreduced index leaves out the values of dangling tuples") {
+    // most r2 tuples dangle once r3 keeps only c <= 20
+    val raw = TestData.pathQuery(spark)
+    val q = raw.withDfs(Map("r3" -> raw.relation("r3").df.where(col("c") <= 20).cache()))
+    TestData.assertHistogramsMatchDuckDB(spark, q)
+    val cs = LocalJoinIndex.build(q).histogram("c").map(_._1)
+    assert(cs.nonEmpty && cs.forall(_ <= 20))
+    assert(q.relation("r2").df.where(col("c") > 20).count() > 0)
+  }
+
   test("histogram values all appear in the materialized join") {
     val truth = TestData.materializePts(path)
     val i = path.allAttrs.indexOf("a2")

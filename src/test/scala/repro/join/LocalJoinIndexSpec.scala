@@ -114,6 +114,16 @@ class LocalJoinIndexSpec extends SparkSpec {
     assert(raw.n == index.n)
   }
 
+  test("-0.0 and 0.0 join keys match, as in Spark's equi-join") {
+    val r1 = Seq((1.0, -0.0), (2.0, 0.0)).toDF("a1", "b")
+    val r2 = Seq((0.0, 5.0)).toDF("b", "a2")
+    val q = GYO.joinTree(Seq(Relation("z1", r1), Relation("z2", r2))).get
+    val idx = LocalJoinIndex.build(q)
+    assert(Yannakakis.countJoin(q) == 2L)
+    assert(idx.n == 2.0)
+    assert(idx.histogram("b").map(_._2).sum == 2.0)
+  }
+
   test("works on the TPC-H FK join") {
     val tpch = TestData.tpchQuery(spark)
     val idx = LocalJoinIndex.build(Yannakakis.fullReduce(tpch))

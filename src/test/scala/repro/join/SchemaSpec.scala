@@ -64,14 +64,6 @@ class SchemaSpec extends SparkSpec {
     check(q.rooted("r2"))
   }
 
-  test("rootedAtAttr picks a relation containing the attribute") {
-    val q = GYO.joinTree(Seq(
-      rel2("r1", Seq("a1", "b")), rel2("r2", Seq("b", "c")), rel2("r3", Seq("c", "a2")))).get
-    assert(q.rootedAtAttr("a1").rel.name == "r1")
-    assert(q.rootedAtAttr("a2").rel.name == "r3")
-    assert(Set("r1", "r2").contains(q.rootedAtAttr("b").rel.name))
-  }
-
   test("rooted() rejects unknown relation names") {
     val q = GYO.joinTree(Seq(rel2("r1", Seq("a", "b")), rel2("r2", Seq("b", "c")))).get
     intercept[IllegalArgumentException](q.rooted("nope"))

@@ -28,20 +28,19 @@ class YannakakisSpec extends SparkSpec {
   }
 
   test("countJoin is invariant under re-rooting") {
-    val c1 = Yannakakis.rootCounts(path.rooted("r1"))
-      .agg(coalesce(sum(Yannakakis.Cnt), lit(0L))).head.getLong(0)
-    val c2 = Yannakakis.rootCounts(path.rooted("r2"))
-      .agg(coalesce(sum(Yannakakis.Cnt), lit(0L))).head.getLong(0)
-    val c3 = Yannakakis.rootCounts(path.rooted("r3"))
-      .agg(coalesce(sum(Yannakakis.Cnt), lit(0L))).head.getLong(0)
-    assert(c1 == c2 && c2 == c3)
+    val counts = Seq("r1", "r2", "r3").map(r =>
+      Yannakakis.countsByCarry(path.rooted(r)).head().getLong(0))
+    assert(counts.distinct.size == 1, counts.toString)
   }
 
-  test("rootCounts matches DuckDB per-tuple participation counts") {
-    val rc = Yannakakis.rootCounts(path.rooted("r2"))
-      .groupBy($"b", $"c").agg(sum(Yannakakis.Cnt).as("cnt"))
+  test("countsByCarry matches DuckDB per-tuple participation counts") {
+    // carrying r2's own columns groups the join results by r2 tuple
+    val annotated = path.withDfs(Map("r2" -> path.relation("r2").df
+      .withColumn("cc_b", $"b").withColumn("cc_c", $"c")))
+    val got = Yannakakis.countsByCarry(annotated.rooted("r1"))
+      .select($"cc_b".as("b"), $"cc_c".as("c"), col(Yannakakis.Cnt).as("cnt"))
     Oracle.assertEquivalent(
-      rc,
+      got,
       "SELECT CAST(r2.b AS DOUBLE) AS b, CAST(r2.c AS DOUBLE) AS c, COUNT(*) AS cnt " +
         s"${TestData.pathJoinSql} GROUP BY r2.b, r2.c",
       pathTables: _*)
@@ -63,10 +62,12 @@ class YannakakisSpec extends SparkSpec {
 
   test("fullReduce leaves no dangling tuple (each tuple joins)") {
     val reduced = Yannakakis.fullReduce(path)
-    val rc = Yannakakis.rootCounts(reduced.rooted("r1"))
-    // after a full reduce, every r1 tuple participates in >= 1 join result
-    assert(rc.where(col(Yannakakis.Cnt) <= 0).isEmpty)
-    assert(rc.count() == reduced.relation("r1").df.count())
+    // carrying a row id keeps one group per tuple that joins; after a full
+    // reduce that is every tuple of every relation
+    for (r <- reduced.relations) {
+      val withId = reduced.withDfs(Map(r.name -> r.df.withColumn("cc_id", monotonically_increasing_id())))
+      assert(Yannakakis.countsByCarry(withId.rooted(r.name)).count() == r.df.count(), r.name)
+    }
   }
 
   test("materialize matches DuckDB row-for-row (projected)") {
@@ -103,10 +104,11 @@ class YannakakisSpec extends SparkSpec {
   }
 
   test("counting never materializes more rows than the inputs (plan sanity)") {
-    // the counting pass must be joins of *aggregated* children: its result
-    // has at most |root| rows
-    val rc = Yannakakis.rootCounts(path.rooted("r1"))
-    assert(rc.count() <= path.relation("r1").df.count())
+    // the counting pass must be joins of *aggregated* children: grouped by a
+    // root row id, its result has at most |root| rows
+    val r1 = path.relation("r1").df
+    val withId = path.withDfs(Map("r1" -> r1.withColumn("cc_id", monotonically_increasing_id())))
+    assert(Yannakakis.countsByCarry(withId.rooted("r1")).count() <= r1.count())
   }
 
   test("empty relation yields empty join and zero count") {
