@@ -4,7 +4,6 @@ import repro.{SparkSpec, SynthData}
 import repro.baselines.{CostEval, FullJoin, RkMeans}
 import repro.cluster.{KMeansAlg, Means}
 import repro.core.{CoreConf, FastBatched, RelKClustering}
-import repro.join.{GYO, Relation}
 
 /** T2-scaleN — the running-time column of Table 1: the NEW algorithm scales
   * with the *input* size N (inputs fixed here) while the two-step baseline
@@ -20,26 +19,17 @@ class ScalingNBench extends SparkSpec {
     val sweep = Seq(20000L, 6000L, 2000L, 200L) // |q(D)| ~ 1.6e5 .. 1.6e9
     // untimed warmup: JIT + Spark codegen caches, so point 1 isn't inflated
     locally {
-      val w1 = SynthData.pathR1(spark, 2000, 500, seed = 100).cache()
-      val w2 = SynthData.pathR2(spark, 2000, 500, 500, seed = 200).cache()
-      val w3 = SynthData.pathR3(spark, 2000, 500, seed = 300).cache()
-      val wq = GYO.joinTree(Seq(
-        Relation("r1", w1), Relation("r2", w2), Relation("r3", w3))).get
+      val wq = SynthData.pathQuery(spark, 2000, 500)
       RelKClustering.run(wq, k, KMeansAlg(), conf.copy(sampleSize = 5000), FastBatched)
       FullJoin.run(wq, k, KMeansAlg(), seed = 11)
-      w1.unpersist(); w2.unpersist(); w3.unpersist()
+      wq.relations.foreach(_.df.unpersist())
     }
     val results = sweep.map { nk =>
-      val r1 = SynthData.pathR1(spark, rows, nk, seed = 100).cache()
-      val r2 = SynthData.pathR2(spark, rows, nk, nk, seed = 200).cache()
-      val r3 = SynthData.pathR3(spark, rows, nk, seed = 300).cache()
-      r1.count(); r2.count(); r3.count()
-      val q = GYO.joinTree(Seq(
-        Relation("r1", r1), Relation("r2", r2), Relation("r3", r3))).get
+      val q = SynthData.pathQuery(spark, rows, nk)
       val gamma = KMeansAlg()
       val (fast, tFast) = Harness.time(RelKClustering.run(q, k, gamma, conf, FastBatched))
       val (base, tBase) = Harness.time(FullJoin.run(q, k, gamma, seed = 11, collectCap = 500000))
-      r1.unpersist(); r2.unpersist(); r3.unpersist()
+      q.relations.foreach(_.df.unpersist())
       (nk, fast.nJoin.toLong, tFast, tBase)
     }
     println("== T2-scaleN path(rows=40000) k=5, k-means ==")

@@ -3,7 +3,6 @@ package repro.bench
 import repro.{SparkSpec, SynthData}
 import repro.cluster.{Means, Median}
 import repro.core.CoreConf
-import repro.join.{GYO, Relation}
 
 /** Empirical Table 1 — workload: many-to-many path join
   * R1(a1,b) ⋈ R2(b,c) ⋈ R3(c,a2); N = 3 x 2000 input tuples, |q(D)| ≈ 50k
@@ -19,13 +18,8 @@ object Table1Workload {
     heavyFraction = 0.02, seed = 7)
   val slowConf: CoreConf = conf.copy(cellsPerSide = 4)
 
-  def query(spark: org.apache.spark.sql.SparkSession): repro.join.AcyclicQuery = {
-    val r1 = SynthData.pathR1(spark, rows, nKeys, seed = 100).cache()
-    val r2 = SynthData.pathR2(spark, rows, nKeys, nKeys, seed = 200).cache()
-    val r3 = SynthData.pathR3(spark, rows, nKeys, seed = 300).cache()
-    r1.count(); r2.count(); r3.count() // exclude generation from timings
-    GYO.joinTree(Seq(Relation("r1", r1), Relation("r2", r2), Relation("r3", r3))).get
-  }
+  def query(spark: org.apache.spark.sql.SparkSession): repro.join.AcyclicQuery =
+    SynthData.pathQuery(spark, rows, nKeys)
 }
 
 class Table1MedianBench extends SparkSpec {

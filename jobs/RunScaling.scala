@@ -6,7 +6,6 @@ import repro.bench.Harness
 import repro.cluster.KMeansAlg
 import repro.core.{CoreConf, FastBatched, RelKClustering}
 import repro.baselines.FullJoin
-import repro.join.{GYO, Relation}
 
 /** spark-submit entrypoint for T2-scaleN: time of NEW-fast vs the two-step
   * baseline as the join blows up (key domain swept downward).
@@ -29,16 +28,11 @@ object RunScaling {
     val conf = CoreConf(epsilon = 0.5, cellsPerSide = 8, sampleSize = 50000, seed = 11)
     println(f"${"nKeys"}%8s ${"|q(D)|"}%12s ${"NEW-fast_s"}%11s ${"full-join_s"}%12s")
     sweep.foreach { nk =>
-      val r1 = SynthData.pathR1(spark, rows, nk, seed = 100).cache()
-      val r2 = SynthData.pathR2(spark, rows, nk, nk, seed = 200).cache()
-      val r3 = SynthData.pathR3(spark, rows, nk, seed = 300).cache()
-      r1.count(); r2.count(); r3.count()
-      val q = GYO.joinTree(Seq(
-        Relation("r1", r1), Relation("r2", r2), Relation("r3", r3))).get
+      val q = SynthData.pathQuery(spark, rows, nk)
       val (fast, tFast) = Harness.time(RelKClustering.run(q, k, KMeansAlg(), conf, FastBatched))
       val (base, tBase) = Harness.time(FullJoin.run(q, k, KMeansAlg(), 11, collectCap = 500000))
       println(f"$nk%8d ${fast.nJoin.toLong}%12d $tFast%11.2f $tBase%12.2f")
-      r1.unpersist(); r2.unpersist(); r3.unpersist()
+      q.relations.foreach(_.df.unpersist())
     }
     spark.stop()
   }
@@ -61,12 +55,7 @@ object RunScaleK {
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
 
-    val r1 = SynthData.pathR1(spark, rows, nKeys, seed = 100).cache()
-    val r2 = SynthData.pathR2(spark, rows, nKeys, nKeys, seed = 200).cache()
-    val r3 = SynthData.pathR3(spark, rows, nKeys, seed = 300).cache()
-    r1.count(); r2.count(); r3.count()
-    val q = GYO.joinTree(Seq(
-      Relation("r1", r1), Relation("r2", r2), Relation("r3", r3))).get
+    val q = SynthData.pathQuery(spark, rows, nKeys)
     val conf = CoreConf(epsilon = 0.5, cellsPerSide = 8, sampleSize = 30000, seed = 13)
 
     println(f"${"k"}%3s ${"NEW_s"}%8s ${"rk_s"}%8s ${"rk_grid"}%8s ${"join_s"}%8s")

@@ -5,7 +5,6 @@ import repro.SynthData
 import repro.bench.Harness
 import repro.cluster.{Means, Median}
 import repro.core.CoreConf
-import repro.join.{GYO, Relation}
 
 /** spark-submit entrypoint for the empirical Table 1 (T1-median / T1-means).
   *
@@ -26,12 +25,7 @@ object RunTable1 {
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
 
-    val r1 = SynthData.pathR1(spark, rows, nKeys, seed = 100).cache()
-    val r2 = SynthData.pathR2(spark, rows, nKeys, nKeys, seed = 200).cache()
-    val r3 = SynthData.pathR3(spark, rows, nKeys, seed = 300).cache()
-    r1.count(); r2.count(); r3.count()
-    val q = GYO.joinTree(Seq(
-      Relation("r1", r1), Relation("r2", r2), Relation("r3", r3))).get
+    val q = SynthData.pathQuery(spark, rows, nKeys)
 
     val conf = CoreConf(epsilon = eps, cellsPerSide = 8, sampleSize = 30000,
       heavyFraction = 0.02, seed = 7)

@@ -3,6 +3,7 @@ package repro
 import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
+import repro.join.{AcyclicQuery, GYO, Relation}
 
 /** Synthetic OLAP data at a configurable scale factor.
   *
@@ -127,6 +128,17 @@ object SynthData {
       keyCol(seed, nKeysC)        as "c",
       mixture(seed + 1, nComp, sigma) as "a2",
     )
+
+  /** The path join r1 ⋈ r2 ⋈ r3 of the bench suites and `jobs/` (seeds 100,
+    * 200, 300), every relation cached and counted to keep generation out of timings. */
+  def pathQuery(spark: SparkSession, rows: Long, nKeys: Long): AcyclicQuery = {
+    val rels = Seq(
+      Relation("r1", pathR1(spark, rows, nKeys, seed = 100).cache()),
+      Relation("r2", pathR2(spark, rows, nKeys, nKeys, seed = 200).cache()),
+      Relation("r3", pathR3(spark, rows, nKeys, seed = 300).cache()))
+    rels.foreach(_.df.count())
+    GYO.joinTree(rels).get
+  }
 
   /** Triangle query R(a,b), S(b,c), T(c,a) — cyclic, fhw = 3/2. */
   def triangleR(spark: SparkSession, rows: Long, nKeys: Long, seed: Long = 40): DataFrame =

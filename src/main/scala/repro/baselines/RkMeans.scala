@@ -1,10 +1,8 @@
 package repro.baselines
 
-import org.apache.spark.sql.Column
-import org.apache.spark.sql.functions._
-import repro.cluster.{GammaAlg, Weighted}
+import repro.cluster.GammaAlg
 import repro.cluster.Weighted.Pt
-import repro.join.{AcyclicQuery, LocalJoinIndex, Yannakakis}
+import repro.join.{AcyclicQuery, LocalJoinIndex}
 import scala.util.Random
 
 /** Curtin et al. [23] — rk-means, the grid-coreset baseline of Table 1.
@@ -15,64 +13,47 @@ import scala.util.Random
   *    nearest centers; there are at most k^d nonempty cells (the k^m factor
   *    in Table 1's running time).
   * 3. Cell weights |q(D) ∩ cell| are exact and are computed WITHOUT
-  *    materializing the join: each relation is annotated with its attributes'
-  *    assignment ids (a Catalyst `when`-chain against the k-1 midpoints) and
-  *    a counting-Yannakakis pass groups by the carried ids.
+  *    materializing the join: CountRect calls on the same index ([[grid]]).
   * 4. The weighted gamma-algorithm runs on the grid points.
   */
 object RkMeans {
   /** `totalWeight` must equal |q(D)| — the grid cells partition the join. */
   final case class Result(centers: Array[Pt], gridSize: Int, totalWeight: Double)
 
-  def run(q0: AcyclicQuery, k: Int, gamma: GammaAlg, seed: Long): Result =
-    Yannakakis.withReduced(q0)(runReduced(_, k, gamma, seed))
-
-  private def runReduced(q: AcyclicQuery, k: Int, gamma: GammaAlg, seed: Long): Result = {
+  def run(q: AcyclicQuery, k: Int, gamma: GammaAlg, seed: Long): Result = {
     val rng = new Random(seed)
-    val attrs = q.allAttrs
     val index = LocalJoinIndex.build(q)
-
-    // 1. per-dimension centers, sorted
-    val dimCenters: Map[String, Array[Double]] = attrs.map { a =>
+    // 1. per-dimension centers, sorted, in the index's attribute order
+    val dimCenters = index.attrs.toSeq.map { a =>
       val hist = index.histogram(a)
-      val cs = gamma.cluster(hist.map(h => Array(h._1)), hist.map(_._2), k, rng)
-      a -> cs.map(_(0)).sorted
-    }.toMap
+      gamma.cluster(hist.map(h => Array(h._1)), hist.map(_._2), k, rng).map(_(0)).sorted
+    }
+    val (pts, w) = grid(index, dimCenters).unzip
+    Result(gamma.cluster(pts, w, k, rng), pts.length, w.sum)
+  }
 
-    // assignment id of a 1-D value given sorted centers: #midpoints below it
-    def assignCol(a: String): Column = {
-      val cs = dimCenters(a)
-      if (cs.length == 1) lit(0)
-      else {
-        val mids = cs.sliding(2).map(p => (p(0) + p(1)) / 2).toSeq
-        mids.map(m => when(col(a).cast("double") > lit(m), 1).otherwise(0)).reduce(_ + _)
+  /** The nonempty grid cells with their exact counts |q(D) ∩ cell|, each as
+    * its grid point (one center per dimension), in lexicographic cell order.
+    * `centers(j)` holds the sorted centers of the index's dimension j; its
+    * cell i is (mid_{i-1}, mid_i] between consecutive midpoints, so a value
+    * on a midpoint goes to the lower cell. The walk fixes one dimension at a
+    * time and skips every prefix box that counts 0, so the CountRect calls
+    * grow with the nonempty cells, not with k^d.
+    */
+  def grid(index: LocalJoinIndex, centers: Seq[Array[Double]]): Array[(Pt, Double)] = {
+    def walk(j: Int, lo: Array[Double], hi: Array[Double]): Seq[(List[Double], Double)] = {
+      val cs = centers(j)
+      cs.indices.flatMap { i =>
+        val (l, h) = (lo.clone(), hi.clone())
+        if (i > 0) l(j) = math.nextUp((cs(i - 1) + cs(i)) / 2)
+        if (i < cs.length - 1) h(j) = (cs(i) + cs(i + 1)) / 2
+        val count = index.countBox(l, h)
+        if (count == 0) Nil
+        else if (j == index.dim - 1) Seq(List(cs(i)) -> count)
+        else walk(j + 1, l, h).map { case (p, c) => (cs(i) :: p, c) }
       }
     }
-
-    // 2-3. annotate relations with carried cell ids; exact counts per cell.
-    // Each attribute is annotated in exactly ONE relation (its value is the
-    // same in every relation of a join result), keeping carry names unique.
-    val owner: Map[String, String] =
-      attrs.map(a => a -> q.relations.find(_.attrSet.contains(a)).get.name).toMap
-    val annotated = q.withDfs(q.relations.map { r =>
-      val mine = attrs.filter(a => owner(a) == r.name)
-      r.name -> mine.foldLeft(r.df)((df, a) =>
-        df.withColumn(s"${Yannakakis.CarryPrefix}$a", assignCol(a)))
-    }.toMap)
-    val cellCounts = Yannakakis
-      .countsByCarry(annotated.rooted(annotated.relations.head.name))
-      .collect()
-
-    // 4. grid points (cross products of per-dim centers) weighted by counts
-    val pts = new Array[Pt](cellCounts.length)
-    val w = new Array[Double](cellCounts.length)
-    val carryCols = attrs.map(a => s"${Yannakakis.CarryPrefix}$a")
-    cellCounts.zipWithIndex.foreach { case (row, i) =>
-      pts(i) = attrs.zipWithIndex.map { case (a, j) =>
-        dimCenters(a)(row.getAs[Number](row.fieldIndex(carryCols(j))).intValue())
-      }.toArray
-      w(i) = row.getAs[Long](Yannakakis.Cnt).toDouble
-    }
-    Result(gamma.cluster(pts, w, k, rng), pts.length, w.sum)
+    val (lo, hi) = index.fullBox
+    walk(0, lo, hi).map { case (p, c) => p.toArray -> c }.toArray
   }
 }

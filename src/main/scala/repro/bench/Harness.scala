@@ -3,7 +3,7 @@ package repro.bench
 import repro.baselines._
 import repro.cluster._
 import repro.core._
-import repro.join.{AcyclicQuery, LocalJoinIndex, Yannakakis}
+import repro.join.{AcyclicQuery, LocalJoinIndex}
 import scala.util.Random
 
 /** Shared benchmark harness: runs every Table 1 method end-to-end (its own
@@ -74,8 +74,7 @@ object Harness {
       rows += score("rk-means [Curtin 23]", rk.centers, tRk, s"grid=${rk.gridSize}")
 
       val (pp, tPp) = time {
-        val reduced = Yannakakis.fullReduce(q)
-        val idx = LocalJoinIndex.build(reduced)
+        val idx = LocalJoinIndex.build(q)
         val sample = idx.sampleUniform(conf.sampleSize, new Random(conf.seed))
         RelKMeansPP.run(sample, idx.n, k, gamma, conf.seed)
       }
@@ -83,8 +82,7 @@ object Harness {
     }
 
     val (uni, tUni) = time {
-      val reduced = Yannakakis.fullReduce(q)
-      val idx = LocalJoinIndex.build(reduced)
+      val idx = LocalJoinIndex.build(q)
       val sample = idx.sampleUniform(conf.sampleSize, new Random(conf.seed))
       UniformCoreset.run(sample, idx.n, k, gamma, conf.seed)
     }

@@ -2,7 +2,7 @@ package repro.core
 
 import repro.cluster._
 import repro.cluster.Weighted.Pt
-import repro.join.{AcyclicQuery, LocalJoinIndex, Yannakakis}
+import repro.join.{AcyclicQuery, LocalJoinIndex}
 import scala.util.Random
 
 /** Which RelClustering engine the inner nodes of Algorithm 3 use. */
@@ -25,30 +25,26 @@ final case class RelKResult(
 
 /** Algorithm 3 — Rel-K-Median / Rel-K-Means.
   *
-  * Collects the semi-join reduced relations once into a [[LocalJoinIndex]],
-  * then builds a balanced binary tree over the attributes in local memory.
-  * Each leaf solves the exact weighted 1-D problem on the projection
-  * histogram H_u, read off the index (never materializing the join). Each
-  * inner node u with children v, z takes X = S_v x S_z, r = r_v + r_z — an
+  * Collects each input relation once into a [[LocalJoinIndex]], which drops
+  * the dangling rows on the driver (no other Spark work), then builds a
+  * balanced binary tree over the attributes in local memory. Each leaf
+  * solves the exact weighted 1-D problem on the projection histogram H_u,
+  * read off the index (never materializing the join). Each inner node u
+  * with children v, z takes X = S_v x S_z, r = r_v + r_z — an
   * alpha-approximation of OPT on q_u(D) by Lemma 4.1 / A.9 — and refines it
   * to exactly k centers via RelClusteringFast/Slow (Section 3). A discrete
   * `gamma` (centers ⊆ q(D)) selects the discrete variants' alpha.
   */
 object RelKClustering {
 
-  def run(q0: AcyclicQuery, k: Int, gamma: GammaAlg, conf: CoreConf,
-          mode: Mode = FastBatched, attrsOverride: Option[Seq[String]] = None): RelKResult =
-    Yannakakis.withReduced(q0)(runReduced(_, k, gamma, conf, mode, attrsOverride))
-
-  private def runReduced(q: AcyclicQuery, k: Int, gamma: GammaAlg, conf: CoreConf,
-                         mode: Mode, attrsOverride: Option[Seq[String]]): RelKResult = {
+  def run(q: AcyclicQuery, k: Int, gamma: GammaAlg, conf: CoreConf,
+          mode: Mode = FastBatched, attrsOverride: Option[Seq[String]] = None): RelKResult = {
     val index = LocalJoinIndex.build(q)
     val n = index.n
     require(n > 0, "join result is empty")
     val rng = new Random(conf.seed)
 
-    val attrs = attrsOverride.getOrElse(
-      q.allAttrs.filterNot(_.startsWith(Yannakakis.CarryPrefix)))
+    val attrs = attrsOverride.getOrElse(index.attrs.toSeq)
     val dimsOf = attrs.map(index.attrIdx).toArray
 
     val sample: Array[Array[Double]] =

@@ -11,10 +11,10 @@ import scala.util.Random
   *
   * The index is built from the query's *input* relations — O(N) rows total,
   * which is exactly the premise of relational algorithms (inputs small, join
-  * huge). Spark generates/reduces the relations; this class collects them
-  * once and answers the paper's many tiny per-grid-cell count/sample queries
-  * at RAM-model speed, the same role Yannakakis [55] + Zhao et al. [56] play
-  * in the paper's cost model.
+  * huge). Spark generates the relations; this class collects each of them
+  * once, drops the dangling rows itself, and answers the paper's many tiny
+  * per-grid-cell count/sample queries at RAM-model speed, the same role
+  * Yannakakis [55] + Zhao et al. [56] play in the paper's cost model.
   *
   * Boxes are full-width: `lo(i)..hi(i)` per global attribute i (±∞ for
   * unconstrained attributes), so projections q_u(D) are handled for free —
@@ -78,15 +78,14 @@ final class LocalJoinIndex private (
 
   /** H_u of Algorithm 3 (lines 2-8): each value p of `attr` in q(D) with
     * w(p) = |{t in q(D) : t.attr = p}|, in ascending value order, from the
-    * participation counts of one relation holding `attr`. Values of dangling
-    * rows (weight 0) are absent; the weights sum to n.
+    * participation counts of one relation holding `attr` (every stored row
+    * joins, see [[LocalJoinIndex.build]]); the weights sum to n.
     */
   def histogram(attr: String): Array[(Double, Double)] = {
     val v = nodes.indexWhere(_.attrIdx.contains(attrIdx(attr)))
     val col = nodes(v).attrIdx.indexOf(attrIdx(attr))
     val w = participation(v)
-    nodes(v).rows.indices.filter(w(_) > 0)
-      .groupMapReduce(nodes(v).rows(_)(col))(w(_))(_ + _)
+    nodes(v).rows.indices.groupMapReduce(nodes(v).rows(_)(col))(w(_))(_ + _)
       .toArray.sortBy(_._1)(Ordering.Double.TotalOrdering)
   }
 
@@ -273,29 +272,31 @@ object LocalJoinIndex {
     def localIdxOfGlobals(gs: Array[Int]): Array[Int] = gs.map(globalToLocal)
   }
 
-  /** Collect the query's relations (cast to double) and build the index.
-    * Pass the *reduced* query for tight per-tuple counts; an unreduced query
-    * still yields correct results (dangling tuples get count 0). -0.0 is
-    * stored as 0.0, since `Key` compares bit patterns and Spark's equi-join
-    * treats the two as equal.
+  /** Collect each relation once (cast to double) and build the fully
+    * reduced index: a first index over the collected rows gives every row its
+    * join participation, and only rows with a positive count are kept.
+    * Columns are stored in global attribute order and rows in a fixed
+    * lexicographic order, so the index depends on the rows alone, not on
+    * Spark's partitioning or plan: `build(q)` equals
+    * `build(Yannakakis.fullReduce(q))`.
+    * A null join key makes its row dangle, as in SQL; any other null, or a
+    * NaN, is rejected. -0.0 is stored as 0.0, since `Key` compares bit
+    * patterns and Spark's equi-join treats the two as equal.
     */
   def build(q: AcyclicQuery): LocalJoinIndex = {
-    val attrs = q.allAttrs.filterNot(_.startsWith(Yannakakis.CarryPrefix)).toArray
+    val attrs = q.allAttrs.toArray
     val attrIndex = attrs.zipWithIndex.toMap
+    val joinAttrs = q.allAttrs.filter(a => q.relations.count(_.attrSet(a)) > 1).toSet
     val tree = q.rooted(q.relations.head.name)
 
     val buf = mutable.ArrayBuffer.empty[Node]
     def flatten(t: JoinTree, parentAttrs: Set[String]): Int = {
       val myIdx = buf.length
-      val cols = t.rel.attrs.filterNot(_.startsWith(Yannakakis.CarryPrefix))
-      val rows = t.rel.df
-        .select(cols.map(c => col(c).cast("double")): _*)
-        .collect()
-        .map(r => Array.tabulate(cols.length)(i => r.getDouble(i) + 0.0)) // -0.0 + 0.0 == +0.0
+      val cols = t.rel.attrs.sortBy(attrIndex)
       buf += Node(
         t.rel.name,
         cols.map(attrIndex).toArray,
-        rows,
+        collectRows(t.rel, cols, joinAttrs),
         Array.empty,
         cols.filter(parentAttrs.contains).map(attrIndex).toArray
       )
@@ -304,6 +305,29 @@ object LocalJoinIndex {
       myIdx
     }
     flatten(tree, Set.empty)
-    new LocalJoinIndex(attrs, buf.toArray)
+    val participation = new LocalJoinIndex(attrs, buf.toArray).participation
+    new LocalJoinIndex(attrs, buf.toArray.zip(participation).map { case (node, c) =>
+      node.copy(rows = node.rows.zip(c).collect { case (row, n) if n > 0 => row }) })
+  }
+
+  /** The relation's `cols` as doubles, under the input contract of [[build]],
+    * in lexicographic order over its join attributes first, so that rows
+    * sharing a join key are adjacent when the count passes look them up.
+    */
+  private def collectRows(rel: Relation, cols: Seq[String],
+                          joinAttrs: Set[String]): Array[Array[Double]] = {
+    val keysFirst = cols.indices.sortBy(i => !joinAttrs(cols(i)))
+    rel.df.select(cols.map(c => col(c).cast("double")): _*).collect()
+      .filterNot(r => cols.indices.exists(i => r.isNullAt(i) && joinAttrs(cols(i))))
+      .map { r =>
+        Array.tabulate(cols.length) { i =>
+          require(!r.isNullAt(i), s"relation ${rel.name}: null in column ${cols(i)}")
+          val v = r.getDouble(i)
+          require(!v.isNaN, s"relation ${rel.name}: NaN in column ${cols(i)}")
+          v + 0.0 // -0.0 + 0.0 == +0.0
+        }
+      }
+      .sortBy(r => keysFirst.map(r))(
+        Ordering.Implicits.seqOrdering[IndexedSeq, Double](Ordering.Double.TotalOrdering))
   }
 }

@@ -4,14 +4,13 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 /** Yannakakis-style passes over an acyclic join query, expressed entirely in
-  * the DataFrame API (Catalyst plans the semi-joins / aggregations):
+  * the DataFrame API (Catalyst plans the semi-joins / aggregations). All but
+  * [[materialize]] are the Spark references for [[LocalJoinIndex]] in tests.
   *
   *  - [[fullReduce]]   : classic full reducer — keeps only non-dangling tuples.
-  *  - [[withReduced]]  : runs a function on the reduced query, cached.
   *  - [[countsByCarry]]: |q(D)| grouped by "carried" derived columns (columns
-  *                       whose name starts with a marker prefix), used for the
-  *                       rk-means [23] grid-cell weights. Carried columns must
-  *                       have globally unique names.
+  *                       whose name starts with a marker prefix). Carried
+  *                       columns must have globally unique names.
   *  - [[countJoin]]    : |q(D)| without materializing the join.
   *  - [[materialize]]  : the full join (two-step baseline only!).
   */
@@ -59,18 +58,6 @@ object Yannakakis {
     up(tree)
     down(tree, None)
     q.withDfs(reduced.toMap)
-  }
-
-  /** Runs `f` on the fully reduced query with every relation cached, and
-    * unpersists them afterwards. The cache lets the index build's one
-    * collect per relation share the semi-join lineage instead of recomputing
-    * it for each relation.
-    */
-  def withReduced[A](q: AcyclicQuery)(f: AcyclicQuery => A): A = {
-    val red = fullReduce(q)
-    val cached = red.copy(relations = red.relations.map(r => r.copy(df = r.df.cache())))
-    try f(cached)
-    finally cached.relations.foreach(_.df.unpersist())
   }
 
   /** |q(D)| in O(N)-style passes (no join materialization): the sum of the

@@ -18,6 +18,18 @@ object TestData {
     GYO.joinTree(Seq(Relation("r1", r1), Relation("r2", r2), Relation("r3", r3))).get
   }
 
+  /** 4-relation chain R1(a1,b) ⋈ R2(b,c) ⋈ R3(c,d) ⋈ R4(d,a2) — a deeper join
+    * tree than the 3-path.
+    */
+  def chainQuery(spark: SparkSession): AcyclicQuery = {
+    val r1 = SynthData.pathR1(spark, 300, 30, seed = 70).cache()
+    val r2 = SynthData.pathR2(spark, 300, 30, 30, seed = 71).cache()
+    val r3 = SynthData.pathR2(spark, 300, 30, 30, seed = 72).toDF("c", "d").cache()
+    val r4 = SynthData.pathR3(spark, 300, 30, seed = 73).toDF("d", "a2").cache()
+    GYO.joinTree(Seq(
+      Relation("r1", r1), Relation("r2", r2), Relation("r3", r3), Relation("r4", r4))).get
+  }
+
   /** TPC-H-lite FK join at tiny scale (|q(D)| = |lineitem|). */
   def tpchQuery(spark: SparkSession, sf: Double = 0.001): AcyclicQuery = {
     val rels = SynthData.tpchJoinRelations(spark, sf).map {

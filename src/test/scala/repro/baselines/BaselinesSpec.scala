@@ -1,8 +1,10 @@
 package repro.baselines
 
-import repro.{SparkSpec, TestData}
+import org.apache.spark.sql.Row
+import org.apache.spark.sql.types.{IntegerType, LongType, StructField, StructType}
+import repro.{Oracle, SparkSpec, TestData}
 import repro.cluster._
-import repro.join.{LocalJoinIndex, Yannakakis}
+import repro.join.{AcyclicQuery, GYO, LocalJoinIndex, Relation, Yannakakis}
 import scala.util.Random
 
 class FullJoinSpec extends SparkSpec {
@@ -70,6 +72,51 @@ class RkMeansSpec extends SparkSpec {
     // Table 1: gamma^2 + 4 gamma sqrt(gamma) + 4 gamma = 9 at gamma = 1
     assert(mine <= 9.5 * ref, s"rk-means=$mine baseline=$ref")
     assert(mine >= 0.9 * ref)
+  }
+
+  /** `RkMeans.grid` against DuckDB's count per cell, where an attribute's
+    * cell id is the number of midpoints strictly below its value.
+    */
+  private def assertGridMatchesDuckDB(q: AcyclicQuery, centers: Seq[Array[Double]]): Unit = {
+    val index = LocalJoinIndex.build(q)
+    val attrs = index.attrs.toSeq
+    val cells = RkMeans.grid(index, centers).map { case (p, w) =>
+      Row.fromSeq(p.indices.map(j => centers(j).indexOf(p(j))) :+ w.toLong)
+    }
+    val schema = StructType(attrs.map(StructField(_, IntegerType)) :+ StructField("w", LongType))
+    val cellId = attrs.zip(centers).map { case (a, cs) =>
+      val rel = q.relations.find(_.attrSet.contains(a)).get.name
+      val mids = cs.sliding(2).filter(_.length == 2).map(p => (p(0) + p(1)) / 2)
+      val terms = mids.map(m => s"CASE WHEN CAST($rel.$a AS DOUBLE) > CAST('$m' AS DOUBLE) THEN 1 ELSE 0 END")
+      s"${(Seq("0") ++ terms).mkString(" + ")} AS $a"
+    }
+    Oracle.assertEquivalent(
+      spark.createDataFrame(spark.sparkContext.parallelize(cells.toSeq), schema),
+      s"SELECT ${cellId.mkString(", ")}, COUNT(*) AS w ${TestData.joinSql(q)} GROUP BY ALL",
+      q.relations.map(r => r.name -> r.df): _*)
+  }
+
+  test("grid cell counts match DuckDB's group-by of each attribute's cell id") {
+    val index = LocalJoinIndex.build(q)
+    val centers = index.attrs.toSeq.map { a =>
+      val h = index.histogram(a)
+      KMeansAlg().cluster(h.map(x => Array(x._1)), h.map(_._2), k, new Random(5)).map(_(0)).sorted
+    }
+    assertGridMatchesDuckDB(q, centers)
+  }
+
+  test("a value on a midpoint goes to the lower cell") {
+    import spark.implicits._
+    val r1 = Seq((0.0, 1.0), (1.0, 1.0), (2.0, 1.0)).toDF("a", "b")
+    val r2 = Seq((1.0, 5.0), (1.0, 6.0)).toDF("b", "c")
+    val tiny = GYO.joinTree(Seq(Relation("t1", r1), Relation("t2", r2))).get
+    // attributes (a, b, c); a's centers 0 and 2 put its midpoint on the value 1
+    val centers = Seq(Array(0.0, 2.0), Array(1.0), Array(5.0, 6.0))
+    val cells = RkMeans.grid(LocalJoinIndex.build(tiny), centers).map { case (p, w) => (p.toSeq, w) }
+    assert(cells.toSeq == Seq(
+      (Seq(0.0, 1.0, 5.0), 2.0), (Seq(0.0, 1.0, 6.0), 2.0),
+      (Seq(2.0, 1.0, 5.0), 1.0), (Seq(2.0, 1.0, 6.0), 1.0)))
+    assertGridMatchesDuckDB(tiny, centers)
   }
 
   test("k = 1 grid collapses to a single cell") {

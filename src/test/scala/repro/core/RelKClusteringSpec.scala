@@ -3,7 +3,7 @@ package repro.core
 import repro.{SparkSpec, TestData}
 import repro.baselines.FullJoin
 import repro.cluster._
-import repro.join.{GHD, Yannakakis}
+import repro.join.{GHD, GYO, Relation, Yannakakis}
 import repro.SynthData
 import scala.util.Random
 
@@ -143,6 +143,25 @@ class RelKClusteringSpec extends SparkSpec {
     val b = RelKClustering.run(q, k, KMedianAlg(), conf, FastBatched)
     assert(a.centers.map(_.toSeq).toSeq == b.centers.map(_.toSeq).toSeq)
     assert(a.rU == b.rU)
+  }
+
+  test("centers do not depend on how the input relations are partitioned") {
+    val shuffled = q.withDfs(q.relations.map(r => r.name -> r.df.repartition(7)).toMap)
+    val a = RelKClustering.run(q, k, KMeansAlg(), conf, FastBatched)
+    val b = RelKClustering.run(shuffled, k, KMeansAlg(), conf, FastBatched)
+    assert(a.centers.map(_.toSeq).toSeq == b.centers.map(_.toSeq).toSeq)
+    assert(a.rU == b.rU)
+  }
+
+  test("a row with a null join key is dropped and the run succeeds") {
+    import spark.implicits._
+    val r1 = Seq((1.0, Option(5.0)), (2.0, None), (3.0, Option(5.0)), (4.0, Option(6.0))).toDF("a1", "b")
+    val r2 = Seq((5.0, 7.0), (5.0, 8.0), (6.0, 9.0)).toDF("b", "a2")
+    val nq = GYO.joinTree(Seq(Relation("n1", r1), Relation("n2", r2))).get
+    val res = RelKClustering.run(nq, 2, KMeansAlg(), conf.copy(sampleSize = 200), FastBatched)
+    assert(res.nJoin == Yannakakis.countJoin(nq).toDouble)
+    assert(res.nJoin == 5.0)
+    assert(res.centers.length == 2)
   }
 
   test("empty join is rejected with a clear error") {

@@ -1,21 +1,14 @@
 package repro.join
 
 import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec, SynthData}
+import repro.{Oracle, SparkSpec, TestData}
 import scala.util.Random
 
 /** A 4-relation chain query — exercises deeper join trees than the 3-path. */
 class ChainQuerySpec extends SparkSpec {
   import spark.implicits._
 
-  private lazy val q: AcyclicQuery = {
-    val r1 = SynthData.pathR1(spark, 300, 30, seed = 70).cache()
-    val r2 = SynthData.pathR2(spark, 300, 30, 30, seed = 71).cache()
-    val r3 = SynthData.pathR2(spark, 300, 30, 30, seed = 72).toDF("c", "d").cache()
-    val r4 = SynthData.pathR3(spark, 300, 30, seed = 73).toDF("d", "a2").cache()
-    GYO.joinTree(Seq(
-      Relation("r1", r1), Relation("r2", r2), Relation("r3", r3), Relation("r4", r4))).get
-  }
+  private lazy val q: AcyclicQuery = TestData.chainQuery(spark)
   private def tables = q.relations.map(r => r.name -> r.df)
   private val sql = "FROM r1, r2, r3, r4 WHERE r1.b = r2.b AND r2.c = r3.c AND r3.d = r4.d"
 
@@ -34,7 +27,7 @@ class ChainQuerySpec extends SparkSpec {
   test("LocalJoinIndex counts and samples the chain correctly") {
     val idx = LocalJoinIndex.build(Yannakakis.fullReduce(q))
     assert(idx.n == Yannakakis.countJoin(q).toDouble)
-    val truth = repro.TestData.materializePts(q).map(_.toSeq).toSet
+    val truth = TestData.materializePts(q).map(_.toSeq).toSet
     val s = idx.sampleUniform(300, new Random(1))
     assert(s.length == 300)
     s.foreach(t => assert(truth.contains(t.toSeq)))
@@ -50,12 +43,12 @@ class ChainQuerySpec extends SparkSpec {
 
   test("chain histograms of every attribute match DuckDB") {
     // r3 (attribute d) and r4 (attribute a2) sit at depth 2 and 3 of the index
-    repro.TestData.assertHistogramsMatchDuckDB(spark, q)
+    TestData.assertHistogramsMatchDuckDB(spark, q)
   }
 
   test("chain box count matches brute force") {
     val idx = LocalJoinIndex.build(Yannakakis.fullReduce(q))
-    val truth = repro.TestData.materializePts(q)
+    val truth = TestData.materializePts(q)
     val (lo, hi) = idx.fullBox
     lo(idx.attrIdx("a1")) = 30.0; hi(idx.attrIdx("a1")) = 70.0
     lo(idx.attrIdx("d")) = 0.0; hi(idx.attrIdx("d")) = 50.0

@@ -1,5 +1,6 @@
 package repro.join
 
+import org.apache.spark.sql.functions.col
 import repro.{Oracle, SparkSpec, TestData}
 import scala.util.Random
 
@@ -122,6 +123,67 @@ class LocalJoinIndexSpec extends SparkSpec {
     assert(Yannakakis.countJoin(q) == 2L)
     assert(idx.n == 2.0)
     assert(idx.histogram("b").map(_._2).sum == 2.0)
+  }
+
+  /** The driver-reduced index of `q` is the index of Spark's full reduction
+    * of `q`: same n, same bounds, same uniform samples.
+    */
+  private def assertSameAsSparkReduced(q: AcyclicQuery): Unit = {
+    val mine = LocalJoinIndex.build(q)
+    val viaSpark = LocalJoinIndex.build(Yannakakis.fullReduce(q))
+    assert(mine.n == viaSpark.n)
+    assert(mine.bounds._1.toSeq == viaSpark.bounds._1.toSeq)
+    assert(mine.bounds._2.toSeq == viaSpark.bounds._2.toSeq)
+    for (s <- 1 to 3) {
+      val same = mine.sampleUniform(500, new Random(s)).map(_.toSeq).toSeq ==
+        viaSpark.sampleUniform(500, new Random(s)).map(_.toSeq).toSeq
+      assert(same, s"samples differ for seed $s")
+    }
+  }
+
+  test("build(q) equals build(fullReduce(q)) on the path join rooted at r1") {
+    // Spark's semi-join puts the key first: the reduced r1 comes back as (b, a1)
+    assert(Yannakakis.fullReduce(path).relation("r1").attrs == Seq("b", "a1"))
+    assertSameAsSparkReduced(path)
+  }
+
+  test("build(q) equals build(fullReduce(q)) rooted at r2, in either column order") {
+    // the root's sample order is its row order: Spark moves each semi-join key first
+    for (cols <- Seq(Seq("b", "c"), Seq("c", "b"))) {
+      val r2 = path.relation("r2").copy(df = path.relation("r2").df.select(cols.map(col): _*))
+      assertSameAsSparkReduced(path.copy(relations = r2 +: path.relations.filter(_.name != "r2")))
+    }
+  }
+
+  test("build(q) equals build(fullReduce(q)) when most rows dangle") {
+    val q = path.withDfs(Map("r3" -> path.relation("r3").df.where($"c" <= 20).cache()))
+    // r2's rows with c > 20 dangle and are dropped on the driver
+    assert(path.relation("r2").df.where($"c" > 20).count() > 0)
+    assert(LocalJoinIndex.build(q).bounds._2(index.attrIdx("c")) <= 20)
+    assertSameAsSparkReduced(q)
+  }
+
+  test("build(q) equals build(fullReduce(q)) on the 4-chain and on TPC-H-lite") {
+    assertSameAsSparkReduced(TestData.chainQuery(spark))
+    assertSameAsSparkReduced(TestData.tpchQuery(spark))
+  }
+
+  test("a row with a null join key dangles, as in Spark's equi-join") {
+    val r1 = Seq((1.0, Option(5.0)), (2.0, None), (3.0, Option(5.0))).toDF("a1", "b")
+    val r2 = Seq((5.0, 7.0), (5.0, 8.0)).toDF("b", "a2")
+    val q = GYO.joinTree(Seq(Relation("z1", r1), Relation("z2", r2))).get
+    assert(Yannakakis.countJoin(q) == 4L)
+    assert(LocalJoinIndex.build(q).n == 4.0)
+  }
+
+  test("a null value column or a NaN is rejected, naming the relation and the column") {
+    val r2 = Seq((5.0, 7.0)).toDF("b", "a2")
+    for (r1 <- Seq(Seq((Option.empty[Double], 5.0)).toDF("a1", "b"),
+                   Seq((Double.NaN, 5.0)).toDF("a1", "b"))) {
+      val q = GYO.joinTree(Seq(Relation("z1", r1), Relation("z2", r2))).get
+      val e = intercept[IllegalArgumentException](LocalJoinIndex.build(q))
+      assert(e.getMessage.contains("z1") && e.getMessage.contains("a1"), e.getMessage)
+    }
   }
 
   test("works on the TPC-H FK join") {
