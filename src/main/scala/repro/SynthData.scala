@@ -129,8 +129,8 @@ object SynthData {
       mixture(seed + 1, nComp, sigma) as "a2",
     )
 
-  /** The path join r1 ⋈ r2 ⋈ r3 of the bench suites and `jobs/` (seeds 100,
-    * 200, 300), every relation cached and counted to keep generation out of timings. */
+  /** The path join r1 ⋈ r2 ⋈ r3 of the bench suites (seeds 100, 200, 300),
+    * every relation cached and counted to keep generation out of timings. */
   def pathQuery(spark: SparkSession, rows: Long, nKeys: Long): AcyclicQuery = {
     val rels = Seq(
       Relation("r1", pathR1(spark, rows, nKeys, seed = 100).cache()),

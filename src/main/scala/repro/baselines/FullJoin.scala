@@ -1,6 +1,6 @@
 package repro.baselines
 
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.{Column, DataFrame, Row}
 import org.apache.spark.sql.functions._
 import repro.cluster.{GammaAlg, Means, Median, Objective, Weighted}
 import repro.cluster.Weighted.Pt
@@ -53,14 +53,18 @@ object FullJoin {
     val rows =
       if (total <= collectCap) join.collect()
       else join.sample(withReplacement = false, collectCap.toDouble / total, seed).collect()
-    val pts = rows.map(r => Array.tabulate(r.length)(i => r.get(i) match {
+    val pts = toPts(rows)
+    val w = Array.fill(pts.length)(1.0)
+    val centers = gamma.cluster(pts, w, k, new Random(seed))
+    Result(centers, total, pts.length)
+  }
+
+  /** Collected join rows as points, one coordinate per column. */
+  def toPts(rows: Array[Row]): Array[Pt] =
+    rows.map(r => Array.tabulate(r.length)(i => r.get(i) match {
       case d: Double => d
       case l: Long   => l.toDouble
       case i2: Int   => i2.toDouble
       case x         => x.toString.toDouble
     }))
-    val w = Array.fill(pts.length)(1.0)
-    val centers = gamma.cluster(pts, w, k, new Random(seed))
-    Result(centers, total, pts.length)
-  }
 }

@@ -23,36 +23,16 @@ object RelKMeansPP {
     val m = math.max(1, math.min(sample.length,
       k * math.max(1, math.ceil(math.log(math.max(n, 2.0)) / math.log(2.0)).toInt)))
 
-    // k-means++ seeding with m centers over the sample (D^2 sampling)
-    val centers = new Array[Pt](m)
-    centers(0) = sample(rng.nextInt(sample.length))
-    val d2 = sample.map(p => Weighted.distSq(p, centers(0)))
-    var c = 1
-    while (c < m) {
-      val tot = d2.sum
-      var next = 0
-      if (tot > 0) {
-        var u = rng.nextDouble() * tot
-        var i = 0
-        while (i < sample.length - 1 && u > d2(i)) { u -= d2(i); i += 1 }
-        next = i
-      } else next = rng.nextInt(sample.length)
-      centers(c) = sample(next)
-      var i = 0
-      while (i < sample.length) {
-        val nd = Weighted.distSq(sample(i), centers(c))
-        if (nd < d2(i)) d2(i) = nd
-        i += 1
-      }
-      c += 1
-    }
+    // k-means++ seeding with m centers over the sample (D^2 sampling); fewer
+    // when all the sample's mass already sits on centers
+    val centers = GammaAlg.seed(sample, Array.fill(sample.length)(1.0), m, rng, Means)
 
     // weights: estimated cluster sizes (relationally these are exact counts;
-    // here scaled sample counts)
-    val w = new Array[Double](m)
+    // here scaled sample counts); the seeding picks distinct points, so each
+    // center is its own nearest and every weight is positive
+    val w = new Array[Double](centers.length)
     sample.foreach(p => w(Weighted.nearest(p, centers)) += n / sample.length)
-    val keep = centers.indices.filter(w(_) > 0)
-    Result(gamma.cluster(keep.map(centers(_)).toArray, keep.map(w(_)).toArray, k, rng), m)
+    Result(gamma.cluster(centers, w, k, rng), centers.length)
   }
 }
 

@@ -9,7 +9,7 @@ import scala.util.Random
 /** Shared benchmark harness: runs every Table 1 method end-to-end (its own
   * relational passes included), scores all centers with the exact Spark-side
   * cost over the full join, and renders the table rows recorded in
-  * EXPERIMENTS.md. Used by both `bench/` suites and the `jobs/` entrypoints.
+  * EXPERIMENTS.md. Used by the `bench/` suites.
   */
 object Harness {
 

@@ -19,8 +19,8 @@ trait GammaAlg {
 
 object GammaAlg {
   /** D^l-sampling seeding (l=2: k-means++ of [11]; l=1: its k-median analog). */
-  private[cluster] def seed(pts: Array[Pt], w: Array[Double], k: Int, rng: Random,
-                            obj: Objective): Array[Pt] = {
+  private[repro] def seed(pts: Array[Pt], w: Array[Double], k: Int, rng: Random,
+                          obj: Objective): Array[Pt] = {
     require(pts.nonEmpty, "cannot seed on empty point set")
     val centers = scala.collection.mutable.ArrayBuffer.empty[Pt]
     // first center: weight-proportional

@@ -1,6 +1,9 @@
 package repro.core
 
+import repro.cluster.{GammaAlg, Objective, Weighted}
 import repro.cluster.Weighted.Pt
+import repro.join.LocalJoinIndex
+import scala.util.Random
 
 /** Axis-parallel box over a d_u-dimensional subspace. */
 final case class Box(lo: Array[Double], hi: Array[Double]) {
@@ -130,4 +133,46 @@ object ExpGrid {
     */
   def jMaxFor(ratio: Double): Int =
     math.max(1, math.ceil(math.log(2 * math.max(ratio, 2.0)) / math.log(2.0)).toInt)
+}
+
+/** The skeleton Algorithms 1 and 2 share (Section 3): one exponential grid
+  * around each x_i in X, the cells that pass condition (3), and the
+  * gamma-clustering of the resulting coreset. The engines differ only in how
+  * a kept cell gets its weight.
+  */
+private[core] object GridWalk {
+  /** One grid per center of `x`, with phi and ring count for the objective. */
+  def grids(obj: Objective, alpha: Double, r: Double, n: Double, cellsPerSide: Int,
+            x: Array[Pt]): Array[ExpGrid] = {
+    val phi = SubSpace.phiFor(obj, r, alpha, n)
+    val jMax = ExpGrid.jMaxFor(SubSpace.ringRatio(obj, alpha, n))
+    x.map(c => new ExpGrid(c, phi, cellsPerSide, jMax))
+  }
+
+  /** The candidate cells of Algorithms 1 and 2: center by center, ring by
+    * ring, in `cellsOfRing` order, keeping the cells that meet the data's
+    * bounding box on `dims` and pass condition (3). A cell outside the data
+    * box holds no join result (every join coordinate is an input
+    * coordinate), so skipping it is exact.
+    */
+  def cells(grids: Array[ExpGrid], index: LocalJoinIndex, dims: Array[Int]): Iterator[Box] = {
+    val x = grids.map(_.center)
+    val dataBox = Box(
+      SubSpace.project(index.bounds._1, dims),
+      SubSpace.project(index.bounds._2, dims).map(v => math.nextUp(v)))
+    for {
+      i <- grids.indices.iterator
+      j <- (0 to grids(i).jMax).iterator
+      key <- grids(i).cellsOfRing(i, j)
+      box = grids(i).boxOf(key)
+      if box.intersects(dataBox) && SubSpace.condition3(x(i), x, box)
+    } yield box
+  }
+
+  /** Clusters the coreset with `gamma`; r_u is its cost times `rUFactor`. */
+  def finish(pts: Array[Pt], w: Array[Double], k: Int,
+             gamma: GammaAlg, rng: Random, rUFactor: Double): ClusterOut = {
+    val s = gamma.cluster(pts, w, k, rng)
+    ClusterOut(s, Weighted.cost(pts, w, s, gamma.objective) * rUFactor, pts, w)
+  }
 }

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.cluster.{GammaAlg, Weighted}
+import repro.cluster.GammaAlg
 import repro.cluster.Weighted.Pt
 import repro.join.LocalJoinIndex
 import scala.collection.mutable
@@ -8,12 +8,13 @@ import scala.util.Random
 
 /** Algorithm 2 — RelClusteringFast: the randomized sampling-based coreset.
   *
-  * Two modes sharing the grid / condition-(3) / heavy-light logic:
+  * Two modes sharing the grids of [[GridWalk]] and the heavy-light logic:
   *
-  *  - [[run]] (faithful): per-cell SampleRect(M) + CountRect exactly as the
-  *    pseudocode: a cell is heavy when the fraction g/M of its samples not
-  *    already lying in processed heavy cells B is at least 2*tau; the
-  *    representative gets weight (g/M) * n_cell / (1 - eps').
+  *  - [[run]] (faithful): over the cells of [[GridWalk.cells]], per-cell
+  *    SampleRect(M) + CountRect exactly as the pseudocode: a cell is heavy
+  *    when the fraction g/M of its samples not already lying in processed
+  *    heavy cells B is at least 2*tau; the representative gets weight
+  *    (g/M) * n_cell / (1 - eps').
   *
   *  - [[runBatched]]: one shared uniform sample T of q(D) (drawn once via
   *    SampleRect over the whole space) replaces the per-cell samples;
@@ -30,10 +31,7 @@ object RelClusteringFast {
           gamma: GammaAlg, conf: CoreConf, rng: Random): ClusterOut = {
     val n = index.n
     require(n > 0, "empty join")
-    val obj = gamma.objective
-    val phi = SubSpace.phiFor(obj, r, alpha, n)
-    val jMax = ExpGrid.jMaxFor(SubSpace.ringRatio(obj, alpha, n))
-    val grids = x.map(c => new ExpGrid(c, phi, conf.cellsPerSide, jMax))
+    val grids = GridWalk.grids(gamma.objective, alpha, r, n, conf.cellsPerSide, x)
     val m = conf.perCellSamples
 
     val b = mutable.ArrayBuffer.empty[Box] // heavy cells, in order
@@ -42,30 +40,22 @@ object RelClusteringFast {
 
     def inB(p: Pt): Boolean = b.exists(_.contains(p))
 
-    // exact pruning of cells that cannot contain a join result (see Alg 1)
-    val dataBox = Box(
-      SubSpace.project(index.bounds._1, dims),
-      SubSpace.project(index.bounds._2, dims).map(v => math.nextUp(v)))
-
-    for (i <- x.indices; j <- 0 to jMax; key <- grids(i).cellsOfRing(i, j)) {
-      val box = grids(i).boxOf(key)
-      if (box.intersects(dataBox) && SubSpace.condition3(x(i), x, box)) {
-        val (flo, fhi) = SubSpace.lift(box, dims, index.dim)
-        val h = index.sampleBox(flo, fhi, m, rng).map(SubSpace.project(_, dims))
-        if (h.nonEmpty) {
-          val fresh = h.filterNot(inB)
-          val g = fresh.length
-          if (g.toDouble / m >= conf.heavyFraction) {
-            val nCell = index.countBox(flo, fhi)
-            corePts += fresh.head
-            coreW += (g.toDouble / m) * nCell / (1 - conf.epsPrimeFast)
-            b += box
-          }
+    for (box <- GridWalk.cells(grids, index, dims)) {
+      val (flo, fhi) = SubSpace.lift(box, dims, index.dim)
+      val h = index.sampleBox(flo, fhi, m, rng).map(SubSpace.project(_, dims))
+      if (h.nonEmpty) {
+        val fresh = h.filterNot(inB)
+        val g = fresh.length
+        if (g.toDouble / m >= conf.heavyFraction) {
+          val nCell = index.countBox(flo, fhi)
+          corePts += fresh.head
+          coreW += (g.toDouble / m) * nCell / (1 - conf.epsPrimeFast)
+          b += box
         }
       }
     }
 
-    RelClusteringSlow.finish(corePts.toArray, coreW.toArray, k, gamma, rng, rUFactor(conf))
+    GridWalk.finish(corePts.toArray, coreW.toArray, k, gamma, rng, rUFactor(conf))
   }
 
   /** r_u = (1+4eps')/(1-9eps') * v_S(C) (Lemma 3.10 / Alg 2 line 18). */
@@ -79,10 +69,7 @@ object RelClusteringFast {
                  alpha: Double, r: Double, k: Int,
                  gamma: GammaAlg, conf: CoreConf, rng: Random): ClusterOut = {
     require(sample.nonEmpty, "empty sample")
-    val obj = gamma.objective
-    val phi = SubSpace.phiFor(obj, r, alpha, n)
-    val jMax = ExpGrid.jMaxFor(SubSpace.ringRatio(obj, alpha, n))
-    val grids = x.map(c => new ExpGrid(c, phi, conf.cellsPerSide, jMax))
+    val grids = GridWalk.grids(gamma.objective, alpha, r, n, conf.cellsPerSide, x)
 
     val pts = sample.map(SubSpace.project(_, dims))
     val mTot = pts.length.toDouble
@@ -121,6 +108,6 @@ object RelClusteringFast {
       t += 1
     }
 
-    RelClusteringSlow.finish(corePts.toArray, coreW.toArray, k, gamma, rng, rUFactor(conf))
+    GridWalk.finish(corePts.toArray, coreW.toArray, k, gamma, rng, rUFactor(conf))
   }
 }

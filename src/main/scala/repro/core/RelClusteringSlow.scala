@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.cluster.{GammaAlg, Weighted}
+import repro.cluster.GammaAlg
 import repro.cluster.Weighted.Pt
 import repro.join.LocalJoinIndex
 import scala.collection.mutable.ArrayBuffer
@@ -8,12 +8,12 @@ import scala.util.Random
 
 /** Algorithm 1 — RelClusteringSlow: the deterministic coreset construction.
   *
-  * For every center x_i in X it walks the exponential grid around x_i; every
-  * cell passing condition (3) is counted *exactly*, excluding the region G of
-  * cells processed earlier, by refining the cell against the overlapping
-  * G-boxes (the arrangement Arr'(G) restricted to the cell) and issuing one
-  * CountRect per uncovered sub-box. A representative tuple (SampleRect, z=1)
-  * is stored with weight K_cell.
+  * It walks the exponential grid around every center x_i in X
+  * ([[GridWalk.cells]]); every cell passing condition (3) is counted
+  * *exactly*, excluding the region G of cells processed earlier, by refining
+  * the cell against the overlapping G-boxes (the arrangement Arr'(G)
+  * restricted to the cell) and issuing one CountRect per uncovered sub-box.
+  * A representative tuple (SampleRect, z=1) is stored with weight K_cell.
   *
   * Runtime is Omega(|X|^(d_u+1) N) as in Theorem 3.5 — the paper's point is
   * precisely that this is slow; we run it at small N and measure it.
@@ -25,43 +25,31 @@ object RelClusteringSlow {
           gamma: GammaAlg, conf: CoreConf, rng: Random): ClusterOut = {
     val n = index.n
     require(n > 0, "empty join")
-    val obj = gamma.objective
-    val phi = SubSpace.phiFor(obj, r, alpha, n)
-    val jMax = ExpGrid.jMaxFor(SubSpace.ringRatio(obj, alpha, n))
-    val grids = x.map(c => new ExpGrid(c, phi, conf.cellsPerSide, jMax))
+    val grids = GridWalk.grids(gamma.objective, alpha, r, n, conf.cellsPerSide, x)
 
     val g = ArrayBuffer.empty[Box] // processed cells that contributed tuples
     val corePts = ArrayBuffer.empty[Pt]
     val coreW = ArrayBuffer.empty[Double]
 
-    // Data bounding box on the subspace dims: a cell outside it holds no
-    // join result (every join coordinate is an input coordinate), so it can
-    // be skipped exactly. Likewise, a cell with CountRect = 0 contributes
-    // nothing and excludes nothing — the paper adds every condition-(3) cell
-    // to G, but only cells whose *counted* tuples must not be recounted need
-    // to be in G (tuples of a K=0 cell are already covered by earlier
-    // G-boxes), so we keep |G| = |C| and avoid a quadratic blow-up.
-    val dataBox = Box(
-      SubSpace.project(index.bounds._1, dims),
-      SubSpace.project(index.bounds._2, dims).map(v => math.nextUp(v)))
-
-    for (i <- x.indices; j <- 0 to jMax; key <- grids(i).cellsOfRing(i, j)) {
-      val box = grids(i).boxOf(key)
-      if (box.intersects(dataBox) && SubSpace.condition3(x(i), x, box)) {
-        val (flo, fhi) = SubSpace.lift(box, dims, index.dim)
-        if (index.countBox(flo, fhi) > 0) {
-          val (cnt, rep) = countMinusG(index, dims, box, g, rng)
-          if (cnt > 0) {
-            corePts += rep.get
-            coreW += cnt
-            g += box
-          }
+    // A cell with CountRect = 0 contributes nothing and excludes nothing —
+    // the paper adds every condition-(3) cell to G, but only cells whose
+    // *counted* tuples must not be recounted need to be in G (tuples of a
+    // K=0 cell are already covered by earlier G-boxes), so we keep |G| = |C|
+    // and avoid a quadratic blow-up.
+    for (box <- GridWalk.cells(grids, index, dims)) {
+      val (flo, fhi) = SubSpace.lift(box, dims, index.dim)
+      if (index.countBox(flo, fhi) > 0) {
+        val (cnt, rep) = countMinusG(index, dims, box, g, rng)
+        if (cnt > 0) {
+          corePts += rep.get
+          coreW += cnt
+          g += box
         }
       }
     }
 
     // r_u = v_S(C)/(1-eps') (Alg 1 line 22 / Appendix A.2)
-    finish(corePts.toArray, coreW.toArray, k, gamma, rng, 1.0 / (1 - conf.epsPrime))
+    GridWalk.finish(corePts.toArray, coreW.toArray, k, gamma, rng, 1.0 / (1 - conf.epsPrime))
   }
 
   /** K_cell = |q_u(D) ∩ (cell \ G)| plus one representative from that set.
@@ -111,12 +99,5 @@ object RelClusteringSlow {
     }
     rec(0, new Array[Double](d), new Array[Double](d))
     (total, rep)
-  }
-
-  private[core] def finish(pts: Array[Pt], w: Array[Double], k: Int,
-                           gamma: GammaAlg, rng: Random, rUFactor: Double): ClusterOut = {
-    val s = gamma.cluster(pts, w, k, rng)
-    val rU = Weighted.cost(pts, w, s, gamma.objective) * rUFactor
-    ClusterOut(s, rU, pts, w)
   }
 }

@@ -2,6 +2,7 @@ package repro
 
 import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.functions.col
+import repro.baselines.FullJoin
 import repro.join.{AcyclicQuery, GYO, LocalJoinIndex, Relation, Yannakakis}
 
 /** Shared tiny workloads for the unit-test suites. All cached so repeated
@@ -42,14 +43,7 @@ object TestData {
     * q.allAttrs order. Only for tiny queries.
     */
   def materializePts(q: AcyclicQuery): Array[Array[Double]] =
-    Yannakakis.materialize(q).collect().map { r =>
-      Array.tabulate(r.length)(i => r.get(i) match {
-        case d: Double => d
-        case l: Long   => l.toDouble
-        case i2: Int   => i2.toDouble
-        case x         => x.toString.toDouble
-      })
-    }
+    FullJoin.toPts(Yannakakis.materialize(q).collect())
 
   /** The DuckDB FROM/WHERE clause of the path join. */
   val pathJoinSql: String =

@@ -47,6 +47,32 @@ class CoresetSpec extends SparkSpec {
     }.max
   }
 
+  // ------------------------ the shared grid walk -------------------------
+
+  for ((name, obj, seed) <- Seq(("k-median", Median, 51L), ("k-means", Means, 52L)))
+    test(s"GridWalk ($name): every cell meets the data box and passes condition (3); " +
+      "every projected join tuple lies in a cell") {
+      val (x, r) = makeX(obj, seed)
+      val grids = GridWalk.grids(obj, 2.0, r, index.n, conf.cellsPerSide, x)
+      val cells = GridWalk.cells(grids, index, dims).toArray
+      val dataBox = Box(Array.tabulate(2)(d => proj.map(_(d)).min),
+        Array.tabulate(2)(d => math.nextUp(proj.map(_(d)).max)))
+      // the centers whose grid has each cell, from every ring of every grid
+      val owners = (for {
+        i <- x.indices; j <- 0 to grids(i).jMax; key <- grids(i).cellsOfRing(i, j)
+        b = grids(i).boxOf(key)
+      } yield ((b.lo.toSeq, b.hi.toSeq), i)).groupMap(_._1)(_._2)
+      assert(cells.nonEmpty)
+      cells.foreach { box =>
+        val where = s"cell ${box.lo.toSeq} - ${box.hi.toSeq}"
+        assert(box.intersects(dataBox), s"$where misses the data")
+        val is = owners.getOrElse((box.lo.toSeq, box.hi.toSeq), Nil)
+        assert(is.exists(i => SubSpace.condition3(x(i), x, box)), s"$where fails condition (3)")
+      }
+      val missed = proj.distinctBy(_.toSeq).filterNot(p => cells.exists(_.contains(p)))
+      assert(missed.isEmpty, s"${missed.length} tuples in no cell, e.g. ${missed.headOption.map(_.toSeq)}")
+    }
+
   // ----------------------------- Algorithm 1 -----------------------------
 
   test("Alg1 (k-median): coreset weights sum exactly to |q(D)|") {
