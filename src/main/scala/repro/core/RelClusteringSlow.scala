@@ -38,8 +38,9 @@ object RelClusteringSlow {
     // and avoid a quadratic blow-up.
     for (box <- GridWalk.cells(grids, index, dims)) {
       val (flo, fhi) = SubSpace.lift(box, dims, index.dim)
-      if (index.countBox(flo, fhi) > 0) {
-        val (cnt, rep) = countMinusG(index, dims, box, g, rng)
+      val cellCount = index.countBox(flo, fhi)
+      if (cellCount > 0) {
+        val (cnt, rep) = countMinusG(index, dims, box, cellCount, g, rng)
         if (cnt > 0) {
           corePts += rep.get
           coreW += cnt
@@ -56,10 +57,16 @@ object RelClusteringSlow {
     * Refines `cell` against the G-boxes overlapping it: the per-dimension
     * breakpoints of those boxes partition the cell into sub-boxes, each
     * either fully covered by some G-box (skip) or disjoint from G (count).
+    * With no G-box overlapping, the cell is its only sub-box, and
+    * `cellCount` (its CountRect, > 0) is not counted again.
     */
-  private def countMinusG(index: LocalJoinIndex, dims: Array[Int], cell: Box,
+  private def countMinusG(index: LocalJoinIndex, dims: Array[Int], cell: Box, cellCount: Double,
                           g: ArrayBuffer[Box], rng: Random): (Double, Option[Pt]) = {
     val overlapping = g.filter(_.intersects(cell))
+    if (overlapping.isEmpty) {
+      val (flo, fhi) = SubSpace.lift(cell, dims, index.dim)
+      return (cellCount, Some(SubSpace.project(index.sampleBox(flo, fhi, 1, rng)(0), dims)))
+    }
     if (overlapping.exists(_.covers(cell))) return (0.0, None)
     val d = cell.dim
     // breakpoints per dimension, clipped to the cell

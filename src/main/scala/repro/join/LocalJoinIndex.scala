@@ -1,6 +1,7 @@
 package repro.join
 
 import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.types.LongType
 import scala.collection.mutable
 import scala.util.Random
 
@@ -15,6 +16,16 @@ import scala.util.Random
   * once, drops the dangling rows itself, and answers the paper's many tiny
   * per-grid-cell count/sample queries at RAM-model speed, the same role
   * Yannakakis [55] + Zhao et al. [56] play in the paper's cost model.
+  *
+  * Everything a box query would otherwise re-derive by hashing join keys is
+  * precomputed once at build time: per relation, its columns as primitive
+  * arrays, each row's `Int` id of its group (the rows sharing its key with the
+  * parent), each row's group id in every child, and the unfiltered up-counts.
+  * A query is then a filter plus a multiply-accumulate over those arrays, and
+  * a subtree whose attributes the box leaves free reuses the unfiltered
+  * counts, so a call costs O(rows of the relations whose subtree the box
+  * constrains) and allocates only per-group (and, to sample, per-row) arrays
+  * of those relations.
   *
   * Boxes are full-width: `lo(i)..hi(i)` per global attribute i (±∞ for
   * unconstrained attributes), so projections q_u(D) are handled for free —
@@ -31,11 +42,6 @@ final class LocalJoinIndex private (
   private val attrIndex: Map[String, Int] = attrs.zipWithIndex.toMap
   def attrIdx(a: String): Int = attrIndex(a)
 
-  private val unfiltered: Weights = buildWeights(None)
-
-  /** |q(D)| (exact). */
-  def n: Double = unfiltered.root.total
-
   /** A box unconstrained in every attribute. */
   def fullBox: (Array[Double], Array[Double]) =
     (Array.fill(dim)(Double.NegativeInfinity), Array.fill(dim)(Double.PositiveInfinity))
@@ -48,29 +54,42 @@ final class LocalJoinIndex private (
     val lo = Array.fill(dim)(Double.PositiveInfinity)
     val hi = Array.fill(dim)(Double.NegativeInfinity)
     nodes.foreach { node =>
-      node.rows.foreach { row =>
-        var k = 0
-        while (k < node.attrIdx.length) {
-          val g = node.attrIdx(k)
-          if (row(k) < lo(g)) lo(g) = row(k)
-          if (row(k) > hi(g)) hi(g) = row(k)
-          k += 1
+      var k = 0
+      while (k < node.attrIdx.length) {
+        val g = node.attrIdx(k)
+        val c = node.cols(k)
+        var i = 0
+        while (i < c.length) {
+          if (c(i) < lo(g)) lo(g) = c(i)
+          if (c(i) > hi(g)) hi(g) = c(i)
+          i += 1
         }
+        k += 1
       }
     }
     (lo, hi)
   }
+  // private copies: callers may write into `bounds`
+  private val dataLo = bounds._1.clone()
+  private val dataHi = bounds._2.clone()
 
-  /** CountRect(q, D, R): |q(D) ∩ R| (exact). O(total input rows) per call. */
+  private val unfiltered: Up = up(null, null, withRows = true)
+
+  /** |q(D)| (exact). */
+  def n: Double = unfiltered.msg(0)(0)
+
+  /** CountRect(q, D, R): |q(D) ∩ R| (exact). O(rows of the relations whose
+    * subtree the box constrains) per call.
+    */
   def countBox(lo: Array[Double], hi: Array[Double]): Double =
-    buildWeights(Some((lo, hi))).root.total
+    up(lo, hi, withRows = false).msg(0)(0)
 
   /** SampleRect(q, D, R, z): z uniform (with replacement) samples from
     * q(D) ∩ R, as full-width tuples in `attrs` order. Empty if the box holds
     * no join result.
     */
   def sampleBox(lo: Array[Double], hi: Array[Double], z: Int, rng: Random): Array[Array[Double]] =
-    sample(buildWeights(Some((lo, hi))), z, rng)
+    sample(up(lo, hi, withRows = true), z, rng)
 
   /** z uniform samples from all of q(D) (precomputed weights; O(z · m · log N)). */
   def sampleUniform(z: Int, rng: Random): Array[Array[Double]] =
@@ -83,161 +102,170 @@ final class LocalJoinIndex private (
     */
   def histogram(attr: String): Array[(Double, Double)] = {
     val v = nodes.indexWhere(_.attrIdx.contains(attrIdx(attr)))
-    val col = nodes(v).attrIdx.indexOf(attrIdx(attr))
+    val col = nodes(v).cols(nodes(v).attrIdx.indexOf(attrIdx(attr)))
     val w = participation(v)
-    nodes(v).rows.indices.groupMapReduce(nodes(v).rows(_)(col))(w(_))(_ + _)
+    col.indices.groupMapReduce(col(_))(w(_))(_ + _)
       .toArray.sortBy(_._1)(Ordering.Double.TotalOrdering)
   }
 
   /** Per node, each row's join participation count: its up-count (from
-    * [[buildWeights]]) times its down-count, the top-down half of Yannakakis'
-    * message passing. A child row's down-count sums, over the parent rows
-    * sharing its key, the parent's down-count times the messages of the
-    * parent's other children, so no division is needed. Built on first use.
+    * [[up]]) times its down-count, the top-down half of Yannakakis' message
+    * passing. A child row's down-count sums, over the parent rows sharing its
+    * key, the parent's down-count times the messages of the parent's other
+    * children, so no division is needed. Built on first use.
     */
   private lazy val participation: Array[Array[Double]] = {
     val down = new Array[Array[Double]](nodes.length)
-    down(0) = Array.fill(nodes(0).rows.length)(1.0)
+    down(0) = Array.fill(nodes(0).rows)(1.0)
     for (v <- nodes.indices) { // parents come before children in `nodes`
       val node = nodes(v)
       val kids = node.children
-      val keyIdx = kids.map(c => node.localIdxOfGlobals(nodes(c).sharedGlobal))
-      val toChild = Array.fill(kids.length)(mutable.HashMap.empty[Key, Double].withDefaultValue(0.0))
-      for (i <- node.rows.indices if down(v)(i) > 0) {
-        val keys = keyIdx.map(keyOf(node.rows(i), _))
-        val m = kids.indices.map(ci => unfiltered.msgs(kids(ci)).get(keys(ci)).fold(0.0)(_.total))
+      val toChild = kids.map(c => new Array[Double](nodes(c).groups))
+      val m = new Array[Double](kids.length)
+      for (i <- 0 until node.rows if down(v)(i) > 0) {
+        for (ci <- kids.indices) m(ci) = msgOf(unfiltered.msg(kids(ci)), node.childGid(ci)(i))
         for (ci <- kids.indices) {
           val d = kids.indices.foldLeft(down(v)(i))((acc, cj) => if (cj == ci) acc else acc * m(cj))
-          if (d > 0) toChild(ci)(keys(ci)) += d
+          val g = node.childGid(ci)(i)
+          if (d > 0 && g >= 0) toChild(ci)(g) += d
         }
       }
       for (ci <- kids.indices) {
         val child = nodes(kids(ci))
-        val shared = child.localIdxOfGlobals(child.sharedGlobal)
-        down(kids(ci)) = child.rows.map(r => toChild(ci)(keyOf(r, shared)))
+        down(kids(ci)) = Array.tabulate(child.rows)(r => toChild(ci)(child.gid(r)))
       }
     }
-    Array.tabulate(nodes.length)(v => Array.tabulate(down(v).length)(i => unfiltered.up(v)(i) * down(v)(i)))
+    Array.tabulate(nodes.length)(v => Array.tabulate(down(v).length)(i => unfiltered.cnt(v)(i) * down(v)(i)))
   }
 
   // ------------------------------------------------------------------
 
-  /** Per-query dynamic program (the bottom-up half of Yannakakis' message
-    * passing): for every relation tuple passing the box filter, the number
-    * of join results of its subtree it participates in (its up-count);
-    * tuples grouped by the attributes shared with the parent, with cumulative
-    * weights for top-down sampling.
+  /** Whether the box [lo, hi] may exclude a stored value of attribute g. */
+  private def cuts(g: Int, lo: Array[Double], hi: Array[Double]): Boolean =
+    !(lo(g) <= dataLo(g) && hi(g) >= dataHi(g))
+
+  /** The bottom-up half of Yannakakis' message passing, restricted to the
+    * box (`lo == null`: no box): per node, each group's message — the number
+    * of join results of the node's subtree, inside the box, that the group's
+    * rows take part in — and, `withRows`, each row's up-count and each
+    * group's cumulative up-counts for top-down sampling. A node whose subtree
+    * the box leaves free takes the unfiltered arrays. Every row is visited in
+    * row order, so each sum is taken in the same order whatever the box.
     */
-  private def buildWeights(box: Option[(Array[Double], Array[Double])]): Weights = {
-    val msgs = Array.fill[mutable.HashMap[Key, Group]](nodes.length)(null)
-    // children come after parents in `nodes`; process in reverse.
-    val cnts = Array.fill[Array[Double]](nodes.length)(null)
-    for (v <- nodes.indices.reverse) {
+  private def up(lo: Array[Double], hi: Array[Double], withRows: Boolean): Up = {
+    val cnt = new Array[Array[Double]](nodes.length)
+    val msg = new Array[Array[Double]](nodes.length)
+    val cum = new Array[Array[Double]](nodes.length)
+    var v = nodes.length - 1
+    while (v >= 0) { // children come after parents in `nodes`
       val node = nodes(v)
-      val rows = node.rows
-      val cnt = new Array[Double](rows.length)
-      var i = 0
-      while (i < rows.length) {
-        val row = rows(i)
-        var c = if (passes(node, row, box)) 1.0 else 0.0
-        if (c > 0) {
-          var ci = 0
-          while (c > 0 && ci < node.children.length) {
-            val child = nodes(node.children(ci))
-            val key = keyOf(row, node.localIdxOfGlobals(child.sharedGlobal))
-            c *= msgs(node.children(ci)).get(key).map(_.total).getOrElse(0.0)
-            ci += 1
-          }
-        }
-        cnt(i) = c
-        i += 1
+      if (lo != null && !node.subtreeAttrs.exists(cuts(_, lo, hi))) {
+        cnt(v) = unfiltered.cnt(v)
+        msg(v) = unfiltered.msg(v)
+        cum(v) = unfiltered.cum(v)
+      } else {
+        val filter =
+          if (lo == null) Array.emptyIntArray
+          else node.attrIdx.indices.filter(k => cuts(node.attrIdx(k), lo, hi)).toArray
+        val rowCnt = if (withRows) new Array[Double](node.rows) else null
+        msg(v) = weigh(node, filter.map(node.cols(_)), filter.map(k => lo(node.attrIdx(k))),
+          filter.map(k => hi(node.attrIdx(k))), node.children.map(msg(_)), rowCnt)
+        cnt(v) = rowCnt
+        if (withRows) cum(v) = cumulative(node, rowCnt)
       }
-      cnts(v) = cnt
-      if (v != 0) {
-        // group rows by the attrs shared with the parent
-        val sharedLocal = node.localIdxOfGlobals(node.sharedGlobal)
-        val grouped = mutable.HashMap.empty[Key, mutable.ArrayBuffer[Int]]
-        var j = 0
-        while (j < rows.length) {
-          if (cnt(j) > 0) {
-            grouped.getOrElseUpdate(keyOf(rows(j), sharedLocal), mutable.ArrayBuffer.empty[Int]) += j
-          }
-          j += 1
-        }
-        val msg = mutable.HashMap.empty[Key, Group]
-        grouped.foreach { case (k, idxs) => msg(k) = group(idxs.toArray, cnt) }
-        msgs(v) = msg
-      }
+      v -= 1
     }
-    Weights(msgs, group(cnts(0).indices.filter(cnts(0)(_) > 0).toArray, cnts(0)), cnts)
+    Up(cnt, msg, cum)
   }
 
-  /** The rows `ridx` with cumulative counts, for drawing one by weight. */
-  private def group(ridx: Array[Int], cnt: Array[Double]): Group = {
-    val cum = new Array[Double](ridx.length)
-    var acc = 0.0
-    var t = 0
-    while (t < ridx.length) { acc += cnt(ridx(t)); cum(t) = acc; t += 1 }
-    Group(ridx, cum, acc)
-  }
-
-  private def passes(node: Node, row: Array[Double],
-                     box: Option[(Array[Double], Array[Double])]): Boolean = box match {
-    case None => true
-    case Some((lo, hi)) =>
-      var k = 0
-      while (k < node.attrIdx.length) {
-        val g = node.attrIdx(k)
-        val v = row(k)
-        if (v < lo(g) || v > hi(g)) return false
-        k += 1
-      }
-      true
-  }
-
-  private def keyOf(row: Array[Double], localIdx: Array[Int]): Key = {
-    val a = new Array[Double](localIdx.length)
+  /** One node's step of [[up]]: each row passing the filter (`col(f)` within
+    * `fLo(f)..fHi(f)`) counts the product of its children's messages
+    * (`kidMsg`, in child order), written to `rowCnt` unless null, and each
+    * group's message sums its rows' counts in row order.
+    */
+  private def weigh(node: Node, col: Array[Array[Double]], fLo: Array[Double], fHi: Array[Double],
+                    kidMsg: Array[Array[Double]], rowCnt: Array[Double]): Array[Double] = {
+    val m = new Array[Double](node.groups)
+    val gid = node.gid
+    val kidGid = node.childGid
     var i = 0
-    while (i < localIdx.length) { a(i) = row(localIdx(i)); i += 1 }
-    new Key(a)
+    while (i < gid.length) {
+      var c = 1.0
+      var f = 0
+      while (c > 0 && f < col.length) {
+        val x = col(f)(i)
+        if (x < fLo(f) || x > fHi(f)) c = 0.0
+        f += 1
+      }
+      var ci = 0
+      while (c > 0 && ci < kidMsg.length) {
+        c *= msgOf(kidMsg(ci), kidGid(ci)(i))
+        ci += 1
+      }
+      if (rowCnt != null) rowCnt(i) = c
+      m(gid(i)) += c
+      i += 1
+    }
+    m
   }
 
-  private def sample(w: Weights, z: Int, rng: Random): Array[Array[Double]] = {
-    if (w.root.total <= 0) return Array.empty
+  /** Each group's running sums of `cnt` over its rows, in row order, indexed
+    * like `node.members`.
+    */
+  private def cumulative(node: Node, cnt: Array[Double]): Array[Double] = {
+    val cum = new Array[Double](node.members.length)
+    var g = 0
+    while (g < node.groups) {
+      var acc = 0.0
+      var p = node.groupStart(g)
+      while (p < node.groupStart(g + 1)) {
+        acc += cnt(node.members(p))
+        cum(p) = acc
+        p += 1
+      }
+      g += 1
+    }
+    cum
+  }
+
+  private def sample(w: Up, z: Int, rng: Random): Array[Array[Double]] = {
+    if (w.msg(0)(0) <= 0) return Array.empty
     val out = new Array[Array[Double]](z)
     var s = 0
     while (s < z) {
       val tuple = new Array[Double](dim)
-      descend(0, draw(w.root, rng), tuple, w, rng)
+      descend(0, draw(0, 0, w, rng), tuple, w, rng)
       out(s) = tuple
       s += 1
     }
     out
   }
 
-  private def draw(g: Group, rng: Random): Int = {
-    val u = rng.nextDouble() * g.total
-    // smallest i with cum(i) > u
-    var lo = 0; var hi = g.cum.length - 1
+  /** A row of group `g` of node `v`, drawn with probability proportional to
+    * its up-count: the smallest position whose cumulative count exceeds u
+    * (never a row of count 0: its sum equals the one before it, or is 0 when
+    * first, and u >= 0).
+    */
+  private def draw(v: Int, g: Int, w: Up, rng: Random): Int = {
+    val node = nodes(v)
+    val cum = w.cum(v)
+    val u = rng.nextDouble() * w.msg(v)(g)
+    var lo = node.groupStart(g); var hi = node.groupStart(g + 1) - 1
     while (lo < hi) {
       val mid = (lo + hi) >>> 1
-      if (g.cum(mid) > u) hi = mid else lo = mid + 1
+      if (cum(mid) > u) hi = mid else lo = mid + 1
     }
-    g.rowIdx(lo)
+    node.members(lo)
   }
 
-  private def descend(v: Int, rowI: Int, out: Array[Double], w: Weights, rng: Random): Unit = {
+  private def descend(v: Int, row: Int, out: Array[Double], w: Up, rng: Random): Unit = {
     val node = nodes(v)
-    val row = node.rows(rowI)
     var k = 0
-    while (k < node.attrIdx.length) { out(node.attrIdx(k)) = row(k); k += 1 }
+    while (k < node.attrIdx.length) { out(node.attrIdx(k)) = node.cols(k)(row); k += 1 }
     var ci = 0
     while (ci < node.children.length) {
-      val cIdx = node.children(ci)
-      val child = nodes(cIdx)
-      val key = keyOf(row, node.localIdxOfGlobals(child.sharedGlobal))
-      val g = w.msgs(cIdx)(key)
-      descend(cIdx, draw(g, rng), out, w, rng)
+      val c = node.children(ci)
+      descend(c, draw(c, node.childGid(ci)(row), w, rng), out, w, rng)
       ci += 1
     }
   }
@@ -245,8 +273,33 @@ final class LocalJoinIndex private (
 
 object LocalJoinIndex {
 
+  /** One relation of the join tree, keyed by `Int` group ids. */
+  private[join] final case class Node(
+      name: String,
+      attrIdx: Array[Int],         // global attr index of each local column
+      cols: Array[Array[Double]],  // cols(k)(i): local column k of row i
+      gid: Array[Int],             // each row's group: the rows sharing its key with the parent (root: 0)
+      groupStart: Array[Int],      // group g's rows are members(groupStart(g) until groupStart(g + 1))
+      members: Array[Int],         // rows by group, in row order within a group
+      children: Array[Int],        // indices into `nodes`
+      childGid: Array[Array[Int]], // childGid(ci)(i): the group of child ci that row i's key selects, -1 if none
+      subtreeAttrs: Array[Int]     // global attr indices of the subtree rooted here
+  ) {
+    def rows: Int = gid.length
+    def groups: Int = groupStart.length - 1
+  }
+
+  /** One up pass: per node, each row's up-count, each group's message, and
+    * each group's cumulative up-counts (`cnt`, `cum`: null unless asked for).
+    */
+  private final case class Up(cnt: Array[Array[Double]], msg: Array[Array[Double]],
+                              cum: Array[Array[Double]])
+
+  /** The message of group `g` (0 when no group matches, g = -1). */
+  private def msgOf(msg: Array[Double], g: Int): Double = if (g < 0) 0.0 else msg(g)
+
   /** Wrapper giving Array[Double] value-based equality/hashing for HashMap keys. */
-  final class Key(val a: Array[Double]) {
+  private final class Key(val a: Array[Double]) {
     override def hashCode(): Int = java.util.Arrays.hashCode(a)
     override def equals(o: Any): Boolean = o match {
       case k: Key => java.util.Arrays.equals(a, k.a)
@@ -254,23 +307,20 @@ object LocalJoinIndex {
     }
   }
 
-  /** Tuples of one relation sharing a parent-key, with cumulative subtree counts. */
-  final case class Group(rowIdx: Array[Int], cum: Array[Double], total: Double)
-
-  /** Per-node child messages, the root's group, and every row's up-count. */
-  final case class Weights(msgs: Array[mutable.HashMap[Key, Group]], root: Group,
-                           up: Array[Array[Double]])
-
-  final case class Node(
+  /** A collected relation before group ids are assigned. */
+  private final case class Rel(
       name: String,
-      attrIdx: Array[Int],        // global attr index of each local column
+      attrIdx: Array[Int],
       rows: Array[Array[Double]],
-      children: Array[Int],       // indices into `nodes`
-      sharedGlobal: Array[Int]    // global attr indices shared with the parent
+      children: Array[Int],
+      sharedGlobal: Array[Int]     // global attr indices shared with the parent
   ) {
-    private val globalToLocal: Map[Int, Int] = attrIdx.zipWithIndex.toMap
-    def localIdxOfGlobals(gs: Array[Int]): Array[Int] = gs.map(globalToLocal)
+    def keyOf(row: Array[Double], globals: Array[Int]): Key =
+      new Key(globals.map(g => row(attrIdx.indexOf(g))))
   }
+
+  /** The largest magnitude up to which every integer is a distinct double. */
+  private val MaxExactLong: Long = 1L << 53
 
   /** Collect each relation once (cast to double) and build the fully
     * reduced index: a first index over the collected rows gives every row its
@@ -280,8 +330,10 @@ object LocalJoinIndex {
     * Spark's partitioning or plan: `build(q)` equals
     * `build(Yannakakis.fullReduce(q))`.
     * A null join key makes its row dangle, as in SQL; any other null, or a
-    * NaN, is rejected. -0.0 is stored as 0.0, since `Key` compares bit
-    * patterns and Spark's equi-join treats the two as equal.
+    * NaN, is rejected, and so is a `Long` join key beyond ±2^53 (it would
+    * merge with its neighbours once cast to double). -0.0 is stored as 0.0,
+    * since keys compare bit patterns and Spark's equi-join treats the two as
+    * equal.
     */
   def build(q: AcyclicQuery): LocalJoinIndex = {
     val attrs = q.allAttrs.toArray
@@ -289,11 +341,11 @@ object LocalJoinIndex {
     val joinAttrs = q.allAttrs.filter(a => q.relations.count(_.attrSet(a)) > 1).toSet
     val tree = q.rooted(q.relations.head.name)
 
-    val buf = mutable.ArrayBuffer.empty[Node]
+    val buf = mutable.ArrayBuffer.empty[Rel]
     def flatten(t: JoinTree, parentAttrs: Set[String]): Int = {
       val myIdx = buf.length
       val cols = t.rel.attrs.sortBy(attrIndex)
-      buf += Node(
+      buf += Rel(
         t.rel.name,
         cols.map(attrIndex).toArray,
         collectRows(t.rel, cols, joinAttrs),
@@ -305,24 +357,77 @@ object LocalJoinIndex {
       myIdx
     }
     flatten(tree, Set.empty)
-    val participation = new LocalJoinIndex(attrs, buf.toArray).participation
-    new LocalJoinIndex(attrs, buf.toArray.zip(participation).map { case (node, c) =>
-      node.copy(rows = node.rows.zip(c).collect { case (row, n) if n > 0 => row }) })
+    val rels = buf.toArray
+    val participation = index(attrs, rels).participation
+    index(attrs, rels.zip(participation).map { case (rel, c) =>
+      rel.copy(rows = rel.rows.zip(c).collect { case (row, n) if n > 0 => row }) })
+  }
+
+  /** The index over `rels` (parents before children): group ids by hashing
+    * each row's key, once, so that no query hashes.
+    */
+  private def index(attrs: Array[String], rels: Array[Rel]): LocalJoinIndex = {
+    // per node, its parent key -> group id, ids in order of first appearance
+    val groupIds = rels.indices.map { v =>
+      val ids = mutable.HashMap.empty[Key, Int]
+      if (v != 0) rels(v).rows.foreach(r => ids.getOrElseUpdate(rels(v).keyOf(r, rels(v).sharedGlobal), ids.size))
+      ids
+    }
+    val subtreeAttrs = new Array[Array[Int]](rels.length)
+    for (v <- rels.indices.reverse) // children come after parents
+      subtreeAttrs(v) = (rels(v).attrIdx ++ rels(v).children.flatMap(subtreeAttrs(_))).distinct.sorted
+    val nodes = rels.indices.map { v =>
+      val rel = rels(v)
+      val gid =
+        if (v == 0) new Array[Int](rel.rows.length)
+        else rel.rows.map(r => groupIds(v)(rel.keyOf(r, rel.sharedGlobal)))
+      val groups = if (v == 0) 1 else groupIds(v).size
+      val groupStart = new Array[Int](groups + 1)
+      gid.foreach(g => groupStart(g + 1) += 1)
+      for (g <- 0 until groups) groupStart(g + 1) += groupStart(g)
+      val members = new Array[Int](rel.rows.length)
+      val next = groupStart.clone()
+      for (i <- rel.rows.indices) { members(next(gid(i))) = i; next(gid(i)) += 1 }
+      Node(
+        rel.name,
+        rel.attrIdx,
+        Array.tabulate(rel.attrIdx.length)(k => rel.rows.map(_(k))),
+        gid,
+        groupStart,
+        members,
+        rel.children,
+        rel.children.map { c =>
+          rel.rows.map(r => groupIds(c).getOrElse(rel.keyOf(r, rels(c).sharedGlobal), -1))
+        },
+        subtreeAttrs(v)
+      )
+    }
+    new LocalJoinIndex(attrs, nodes.toArray)
   }
 
   /** The relation's `cols` as doubles, under the input contract of [[build]],
     * in lexicographic order over its join attributes first, so that rows
-    * sharing a join key are adjacent when the count passes look them up.
+    * sharing a join key are adjacent.
+    * A `Long` join column is collected as is and checked before its cast.
     */
   private def collectRows(rel: Relation, cols: Seq[String],
                           joinAttrs: Set[String]): Array[Array[Double]] = {
     val keysFirst = cols.indices.sortBy(i => !joinAttrs(cols(i)))
-    rel.df.select(cols.map(c => col(c).cast("double")): _*).collect()
+    val longKey = cols.map(c => joinAttrs(c) && rel.df.schema(c).dataType == LongType)
+    rel.df.select(cols.indices.map(i => if (longKey(i)) col(cols(i)) else col(cols(i)).cast("double")): _*)
+      .collect()
       .filterNot(r => cols.indices.exists(i => r.isNullAt(i) && joinAttrs(cols(i))))
       .map { r =>
         Array.tabulate(cols.length) { i =>
           require(!r.isNullAt(i), s"relation ${rel.name}: null in column ${cols(i)}")
-          val v = r.getDouble(i)
+          val v =
+            if (longKey(i)) {
+              val l = r.getLong(i)
+              require(l <= MaxExactLong && l >= -MaxExactLong,
+                s"relation ${rel.name}: join key $l in column ${cols(i)} is beyond ±2^53, " +
+                  "where distinct keys merge once cast to double")
+              l.toDouble
+            } else r.getDouble(i)
           require(!v.isNaN, s"relation ${rel.name}: NaN in column ${cols(i)}")
           v + 0.0 // -0.0 + 0.0 == +0.0
         }

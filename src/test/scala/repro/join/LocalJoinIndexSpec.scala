@@ -186,6 +186,82 @@ class LocalJoinIndexSpec extends SparkSpec {
     }
   }
 
+  /** countBox equals the brute-force count over the materialized join, and
+    * every sampleBox draw is a join tuple inside the box, for boxes that
+    * constrain each attribute set of `constrained` (quantile ranges of the
+    * join's own values), for the full box, and for an empty range.
+    */
+  private def assertBoxesMatchBruteForce(q: AcyclicQuery, constrained: Seq[Seq[String]]): Unit = {
+    val idx = LocalJoinIndex.build(q)
+    val pts = TestData.materializePts(q)
+    val tuples = pts.map(_.toSeq).toSet
+    val rng = new Random(9)
+    def rangeBox(as: Seq[String]): (Array[Double], Array[Double]) = {
+      val (lo, hi) = idx.fullBox
+      as.foreach { a =>
+        val vs = pts.map(_(idx.attrIdx(a))).sorted
+        val i = rng.nextInt(vs.length / 2)
+        lo(idx.attrIdx(a)) = vs(i)
+        hi(idx.attrIdx(a)) = vs(i + rng.nextInt(vs.length - i))
+      }
+      (lo, hi)
+    }
+    val (eLo, eHi) = idx.fullBox
+    eLo(0) = 1.0; eHi(0) = 0.0
+    val boxes = constrained.map(as => as -> Seq.fill(4)(rangeBox(as))) ++
+      Seq(Seq("nothing") -> Seq(idx.fullBox), Seq("empty range") -> Seq((eLo, eHi)))
+    for ((as, bs) <- boxes) {
+      val counts = bs.map { case (lo, hi) =>
+        val want = pts.count(t => t.indices.forall(i => t(i) >= lo(i) && t(i) <= hi(i)))
+        assert(idx.countBox(lo, hi) == want.toDouble, s"box on $as: ${lo.toSeq} .. ${hi.toSeq}")
+        val s = idx.sampleBox(lo, hi, 50, rng)
+        assert(s.length == (if (want > 0) 50 else 0), s"box on $as")
+        s.foreach { t =>
+          assert(tuples.contains(t.toSeq), s"box on $as: sample is not a join result")
+          assert(t.indices.forall(i => t(i) >= lo(i) && t(i) <= hi(i)), s"box on $as: sample outside")
+        }
+        want
+      }
+      as match {
+        case Seq("nothing")     => assert(counts == Seq(pts.length))
+        case Seq("empty range") => assert(counts == Seq(0))
+        case _ => assert(counts.exists(c => c > 0 && c < pts.length), s"no box on $as cuts the join")
+      }
+    }
+  }
+
+  test("CountRect/SampleRect match brute force on TPC-H-lite: root, leaf, both, nothing, empty") {
+    val tpch = TestData.tpchQuery(spark)
+    // lineitem(okey, qty, price) is the root, customer(ckey, bal) the leaf
+    assertBoxesMatchBruteForce(tpch, Seq(Seq("qty", "price"), Seq("bal"), Seq("qty", "bal")))
+  }
+
+  test("CountRect/SampleRect match brute force on the path join rooted at r2 (two children)") {
+    val atR2 = path.copy(relations = path.relation("r2") +: path.relations.filter(_.name != "r2"))
+    assert(atR2.rooted("r2").children.map(_.rel.name).toSet == Set("r1", "r3"))
+    // root only, one leaf, one attribute in each sibling subtree
+    val sets = Seq(Seq("b", "c"), Seq("a2"), Seq("a1", "a2"))
+    assertBoxesMatchBruteForce(atR2, sets)
+    // r2's rows with c > 20 find no r3 group when the build counts participation
+    assertBoxesMatchBruteForce(atR2.withDfs(Map("r3" -> path.relation("r3").df.where($"c" <= 20).cache())), sets)
+  }
+
+  test("a Long join key beyond 2^53 is rejected before the cast, naming the relation and the column") {
+    val big = 1L << 53
+    val r2 = Seq((big, 7.0)).toDF("b", "a2")
+    val atLimit = GYO.joinTree(Seq(Relation("z1", Seq((1.0, big), (2.0, -big)).toDF("a1", "b")),
+      Relation("z2", r2))).get
+    assert(LocalJoinIndex.build(atLimit).n == Yannakakis.countJoin(atLimit).toDouble)
+    // 2^53 + 1 reads as 2^53 once cast, so the index would count 2 where Spark counts 1
+    for (key <- Seq(big + 1, -big - 1)) {
+      val r1 = Seq((1.0, big), (2.0, key)).toDF("a1", "b")
+      val q = GYO.joinTree(Seq(Relation("z1", r1), Relation("z2", r2))).get
+      assert(Yannakakis.countJoin(q) == 1L)
+      val e = intercept[IllegalArgumentException](LocalJoinIndex.build(q))
+      assert(e.getMessage.contains("z1") && e.getMessage.contains("column b"), e.getMessage)
+    }
+  }
+
   test("works on the TPC-H FK join") {
     val tpch = TestData.tpchQuery(spark)
     val idx = LocalJoinIndex.build(Yannakakis.fullReduce(tpch))
