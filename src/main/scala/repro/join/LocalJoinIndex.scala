@@ -1,7 +1,9 @@
 package repro.join
 
+import java.math.RoundingMode
+import org.apache.spark.sql.Row
 import org.apache.spark.sql.functions.col
-import org.apache.spark.sql.types.LongType
+import org.apache.spark.sql.types.{DataType, DecimalType, LongType}
 import scala.collection.mutable
 import scala.util.Random
 
@@ -313,7 +315,7 @@ object LocalJoinIndex {
       attrIdx: Array[Int],
       rows: Array[Array[Double]],
       children: Array[Int],
-      sharedGlobal: Array[Int]     // global attr indices shared with the parent
+      sharedGlobal: Array[Int]     // the join columns with the parent, as global attr indices
   ) {
     def keyOf(row: Array[Double], globals: Array[Int]): Key =
       new Key(globals.map(g => row(attrIdx.indexOf(g))))
@@ -325,38 +327,41 @@ object LocalJoinIndex {
   /** Collect each relation once (cast to double) and build the fully
     * reduced index: a first index over the collected rows gives every row its
     * join participation, and only rows with a positive count are kept.
+    * Every edge joins on [[Relation.joinColumns]], as Spark's passes do.
     * Columns are stored in global attribute order and rows in a fixed
     * lexicographic order, so the index depends on the rows alone, not on
     * Spark's partitioning or plan: `build(q)` equals
     * `build(Yannakakis.fullReduce(q))`.
     * A null join key makes its row dangle, as in SQL; any other null, or a
-    * NaN, is rejected, and so is a `Long` join key beyond ±2^53 (it would
-    * merge with its neighbours once cast to double). -0.0 is stored as 0.0,
-    * since keys compare bit patterns and Spark's equi-join treats the two as
-    * equal.
+    * NaN, is rejected, and so is a join key that another key of its column
+    * could read as once cast to double: a `Long` beyond ±2^53, or a decimal
+    * that does not come back when its double is rounded to the column's
+    * scale. -0.0 is stored as 0.0, since keys compare bit patterns and
+    * Spark's equi-join treats the two as equal.
     */
   def build(q: AcyclicQuery): LocalJoinIndex = {
     val attrs = q.allAttrs.toArray
     val attrIndex = attrs.zipWithIndex.toMap
-    val joinAttrs = q.allAttrs.filter(a => q.relations.count(_.attrSet(a)) > 1).toSet
     val tree = q.rooted(q.relations.head.name)
 
     val buf = mutable.ArrayBuffer.empty[Rel]
-    def flatten(t: JoinTree, parentAttrs: Set[String]): Int = {
+    def flatten(t: JoinTree, parent: Option[Relation]): Int = {
       val myIdx = buf.length
       val cols = t.rel.attrs.sortBy(attrIndex)
+      val parentKey = parent.map(t.rel.joinColumns).getOrElse(Nil)
+      val keys = parentKey ++ t.children.flatMap(c => t.rel.joinColumns(c.rel))
       buf += Rel(
         t.rel.name,
         cols.map(attrIndex).toArray,
-        collectRows(t.rel, cols, joinAttrs),
+        collectRows(t.rel, cols, keys.toSet),
         Array.empty,
-        cols.filter(parentAttrs.contains).map(attrIndex).toArray
+        parentKey.map(attrIndex).toArray
       )
-      val kids = t.children.map(c => flatten(c, cols.toSet)).toArray
+      val kids = t.children.map(c => flatten(c, Some(t.rel))).toArray
       buf(myIdx) = buf(myIdx).copy(children = kids)
       myIdx
     }
-    flatten(tree, Set.empty)
+    flatten(tree, None)
     val rels = buf.toArray
     val participation = index(attrs, rels).participation
     index(attrs, rels.zip(participation).map { case (rel, c) =>
@@ -406,33 +411,48 @@ object LocalJoinIndex {
   }
 
   /** The relation's `cols` as doubles, under the input contract of [[build]],
-    * in lexicographic order over its join attributes first, so that rows
-    * sharing a join key are adjacent.
-    * A `Long` join column is collected as is and checked before its cast.
+    * in lexicographic order over its join columns (`keys`) first, so that
+    * rows sharing a join key are adjacent.
     */
   private def collectRows(rel: Relation, cols: Seq[String],
-                          joinAttrs: Set[String]): Array[Array[Double]] = {
-    val keysFirst = cols.indices.sortBy(i => !joinAttrs(cols(i)))
-    val longKey = cols.map(c => joinAttrs(c) && rel.df.schema(c).dataType == LongType)
-    rel.df.select(cols.indices.map(i => if (longKey(i)) col(cols(i)) else col(cols(i)).cast("double")): _*)
+                          keys: Set[String]): Array[Array[Double]] = {
+    val keysFirst = cols.indices.sortBy(i => !keys(cols(i)))
+    // a Long or decimal join key is collected as is and checked before its cast
+    val types = cols.map(c => rel.df.schema(c).dataType)
+    val uncast = cols.indices.map(i => keys(cols(i)) && (types(i) == LongType || types(i).isInstanceOf[DecimalType]))
+    rel.df.select(cols.indices.map(i => if (uncast(i)) col(cols(i)) else col(cols(i)).cast("double")): _*)
       .collect()
-      .filterNot(r => cols.indices.exists(i => r.isNullAt(i) && joinAttrs(cols(i))))
+      .filterNot(r => cols.indices.exists(i => r.isNullAt(i) && keys(cols(i))))
       .map { r =>
         Array.tabulate(cols.length) { i =>
           require(!r.isNullAt(i), s"relation ${rel.name}: null in column ${cols(i)}")
-          val v =
-            if (longKey(i)) {
-              val l = r.getLong(i)
-              require(l <= MaxExactLong && l >= -MaxExactLong,
-                s"relation ${rel.name}: join key $l in column ${cols(i)} is beyond ±2^53, " +
-                  "where distinct keys merge once cast to double")
-              l.toDouble
-            } else r.getDouble(i)
+          val v = if (uncast(i)) exactKey(r, i, types(i), rel.name, cols(i)) else r.getDouble(i)
           require(!v.isNaN, s"relation ${rel.name}: NaN in column ${cols(i)}")
           v + 0.0 // -0.0 + 0.0 == +0.0
         }
       }
       .sortBy(r => keysFirst.map(r))(
         Ordering.Implicits.seqOrdering[IndexedSeq, Double](Ordering.Double.TotalOrdering))
+  }
+
+  /** Join key `r(i)` of type `t` (`Long` or decimal) as a double, which no
+    * other key of its column reads as: a `Long` within ±2^53, or a decimal
+    * that equals the shortest decimal of its double rounded to the column's
+    * scale.
+    */
+  private def exactKey(r: Row, i: Int, t: DataType, rel: String, column: String): Double = t match {
+    case LongType =>
+      val l = r.getLong(i)
+      require(l <= MaxExactLong && l >= -MaxExactLong,
+        s"relation $rel: join key $l in column $column is beyond ±2^53, " +
+          "where distinct keys merge once cast to double")
+      l.toDouble
+    case d: DecimalType =>
+      val x = r.getDecimal(i)
+      val v = x.doubleValue
+      require(java.math.BigDecimal.valueOf(v).setScale(d.scale, RoundingMode.HALF_EVEN).compareTo(x) == 0,
+        s"relation $rel: join key $x in column $column does not survive the cast to double, " +
+          "where distinct keys merge")
+      v
   }
 }

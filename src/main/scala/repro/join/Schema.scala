@@ -9,6 +9,12 @@ import org.apache.spark.sql.DataFrame
 final case class Relation(name: String, df: DataFrame) {
   def attrs: Seq[String] = df.columns.toSeq
   def attrSet: Set[String] = df.columns.toSet
+
+  /** The key of the join-tree edge between this relation and `other`: every
+    * column the two share, in this relation's column order. The one rule for
+    * an edge's join columns, in the Spark passes and in the index alike.
+    */
+  def joinColumns(other: Relation): Seq[String] = attrs.filter(other.attrSet)
 }
 
 /** A rooted join tree. Children join with the parent on the (nonempty, for

@@ -6,20 +6,29 @@ import org.apache.spark.sql.functions._
 /** Yannakakis-style passes over an acyclic join query, expressed entirely in
   * the DataFrame API (Catalyst plans the semi-joins / aggregations). All but
   * [[materialize]] are the Spark references for [[LocalJoinIndex]] in tests.
+  * Every edge joins on [[Relation.joinColumns]], as the index does.
   *
-  *  - [[fullReduce]]   : classic full reducer — keeps only non-dangling tuples.
-  *  - [[countsByCarry]]: |q(D)| grouped by "carried" derived columns (columns
-  *                       whose name starts with a marker prefix). Carried
-  *                       columns must have globally unique names.
-  *  - [[countJoin]]    : |q(D)| without materializing the join.
-  *  - [[materialize]]  : the full join (two-step baseline only!).
+  *  - [[fullReduce]]  : classic full reducer — keeps only non-dangling tuples.
+  *  - [[countJoin]]   : |q(D)| without materializing the join.
+  *  - [[materialize]] : the full join (two-step baseline only!).
   */
 object Yannakakis {
-  val Cnt = "__cnt"
+  /** No program code reads this prefix: columns named with it join like any
+    * other. It stays only because the benchmark's per-layer replay
+    * (`perfbench/src/Replay.scala`) filters on it, and goes with that replay.
+    */
   val CarryPrefix = "cc_"
 
-  private def shared(a: JoinTree, b: JoinTree): Seq[String] =
-    a.rel.attrs.filter(c => !c.startsWith(CarryPrefix) && b.rel.attrSet.contains(c))
+  private val Cnt = "__cnt"
+  private val ChildCnt = "__ccnt"
+
+  /** `df` without the rows whose `keys` no row of `other` matches (no keys:
+    * all of `df`, or none of it when `other` is empty).
+    */
+  private def semi(df: DataFrame, other: DataFrame, keys: Seq[String]): DataFrame =
+    if (keys.nonEmpty) df.join(other.select(keys.map(col): _*).distinct(), keys, "left_semi")
+    else if (other.isEmpty) df.where(lit(false))
+    else df
 
   /** Semi-join full reducer; returns the query with dangling tuples removed.
     * Two passes (bottom-up then top-down) over an arbitrary rooting.
@@ -29,66 +38,40 @@ object Yannakakis {
     val reduced = scala.collection.mutable.Map.empty[String, DataFrame]
 
     def up(node: JoinTree): DataFrame = {
-      var df = node.rel.df
-      node.children.foreach { c =>
-        val cdf = up(c)
-        val s = shared(node, c)
-        df =
-          if (s.nonEmpty) df.join(cdf.select(s.map(col): _*).distinct(), s, "left_semi")
-          else if (cdf.isEmpty) df.where(lit(false))
-          else df
-      }
+      val df = node.children.foldLeft(node.rel.df)((df, c) => semi(df, up(c), node.rel.joinColumns(c.rel)))
       reduced(node.rel.name) = df
       df
     }
 
-    def down(node: JoinTree, parentDf: Option[DataFrame]): Unit = {
-      var df = reduced(node.rel.name)
-      parentDf.foreach { p =>
-        val s = node.rel.attrs.filter(c => !c.startsWith(CarryPrefix) && p.columns.contains(c))
-        df =
-          if (s.nonEmpty) df.join(p.select(s.map(col): _*).distinct(), s, "left_semi")
-          else if (p.isEmpty) df.where(lit(false))
-          else df
-      }
-      reduced(node.rel.name) = df
-      node.children.foreach(c => down(c, Some(df)))
+    def down(node: JoinTree): Unit = node.children.foreach { c =>
+      reduced(c.rel.name) = semi(reduced(c.rel.name), reduced(node.rel.name), c.rel.joinColumns(node.rel))
+      down(c)
     }
 
     up(tree)
-    down(tree, None)
+    down(tree)
     q.withDfs(reduced.toMap)
   }
 
-  /** |q(D)| in O(N)-style passes (no join materialization): the sum of the
-    * [[countsByCarry]] groups, a single group for an uncarried query.
+  /** |q(D)| in O(N)-style passes (no join materialization): bottom-up, each
+    * relation joins its children's messages (join key, count) and sums the
+    * products by the key it shares with its parent, so intermediate sizes
+    * stay |distinct keys|, never |q(D)|.
     */
-  def countJoin(q: AcyclicQuery): Long =
-    countsByCarry(q.rooted(q.relations.head.name))
-      .agg(coalesce(sum(Cnt), lit(0L))).head().getLong(0)
-
-  /** Join-result counts grouped by all carried (`cc_`-prefixed) columns.
-    * Carried columns flow up the tree inside each group-by, so intermediate
-    * sizes stay |distinct keys| x |distinct carried combos| — never |q(D)|.
-    * Returns a DataFrame (carried columns..., `__cnt`).
-    */
-  def countsByCarry(tree: JoinTree): DataFrame = {
-    def carryCols(df: DataFrame): Seq[String] = df.columns.filter(_.startsWith(CarryPrefix)).toSeq
-
-    def up(node: JoinTree, parent: Option[JoinTree]): DataFrame = {
-      var df = node.rel.df.withColumn(Cnt, lit(1L))
-      node.children.zipWithIndex.foreach { case (c, _) =>
-        val s = shared(node, c)
-        val msg = up(c, Some(node))
-        val renamed = msg.withColumnRenamed(Cnt, "__ccnt")
-        df = if (s.nonEmpty) df.join(renamed, s) else df.crossJoin(renamed)
-        df = df.withColumn(Cnt, col(Cnt) * col("__ccnt")).drop("__ccnt")
+  def countJoin(q: AcyclicQuery): Long = {
+    def up(node: JoinTree, parent: Option[Relation]): DataFrame = {
+      val df = node.children.foldLeft(node.rel.df.withColumn(Cnt, lit(1L))) { (df, c) =>
+        val s = node.rel.joinColumns(c.rel)
+        val msg = up(c, Some(node.rel)).withColumnRenamed(Cnt, ChildCnt)
+        (if (s.nonEmpty) df.join(msg, s) else df.crossJoin(msg))
+          .withColumn(Cnt, col(Cnt) * col(ChildCnt)).drop(ChildCnt)
       }
-      val keys = parent.map(p => shared(node, p)).getOrElse(Nil) ++ carryCols(df)
+      val keys = parent.map(node.rel.joinColumns).getOrElse(Nil)
       if (keys.nonEmpty) df.groupBy(keys.map(col): _*).agg(sum(Cnt).as(Cnt))
       else df.agg(sum(Cnt).as(Cnt))
     }
-    up(tree, None)
+    up(q.rooted(q.relations.head.name), None)
+      .agg(coalesce(sum(Cnt), lit(0L))).head().getLong(0)
   }
 
   /** The materialized join q(D) with columns in `q.allAttrs` order. This is
@@ -99,7 +82,7 @@ object Yannakakis {
     val tree = q.rooted(q.relations.head.name)
     def join(node: JoinTree): DataFrame =
       node.children.foldLeft(node.rel.df) { (acc, c) =>
-        val s = shared(node, c)
+        val s = node.rel.joinColumns(c.rel)
         val cdf = join(c)
         if (s.nonEmpty) acc.join(cdf, s) else acc.crossJoin(cdf)
       }

@@ -13,8 +13,7 @@ class EdgeCasesSpec extends SparkSpec {
   import spark.implicits._
 
   test("sampleBox with z far above the box population still returns z samples") {
-    val q = Yannakakis.fullReduce(TestData.pathQuery(spark))
-    val idx = LocalJoinIndex.build(q)
+    val idx = LocalJoinIndex.build(TestData.pathQuery(spark))
     val (lo, hi) = idx.fullBox
     // squeeze a1 to a sliver around a value drawn from the join: few join results
     val a1 = idx.sampleUniform(1, new Random(0)).head(idx.attrIdx("a1"))
@@ -70,7 +69,7 @@ class EdgeCasesSpec extends SparkSpec {
   }
 
   test("TPC-H FK join: leaf histogram of the fact-side weight column") {
-    val tpch = Yannakakis.fullReduce(TestData.tpchQuery(spark))
+    val tpch = TestData.tpchQuery(spark)
     val h = LeafHistogram.histogram(tpch, "bal") // customer attribute
     val n = Yannakakis.countJoin(tpch)
     assert(math.abs(h.map(_._2).sum - n) < 1e-6)
@@ -79,8 +78,7 @@ class EdgeCasesSpec extends SparkSpec {
   }
 
   test("batched Alg2 with a sample of size 1 still produces a valid coreset") {
-    val q = Yannakakis.fullReduce(TestData.pathQuery(spark))
-    val idx = LocalJoinIndex.build(q)
+    val idx = LocalJoinIndex.build(TestData.pathQuery(spark))
     val rng = new Random(7)
     val sample = idx.sampleUniform(1, rng)
     val dims = Array("a1", "a2").map(idx.attrIdx)

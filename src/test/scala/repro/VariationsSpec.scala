@@ -14,8 +14,7 @@ class VariationsSpec extends SparkSpec {
   import spark.implicits._
 
   private lazy val q = TestData.pathQuery(spark)
-  private lazy val reduced = Yannakakis.fullReduce(q)
-  private lazy val index = LocalJoinIndex.build(reduced)
+  private lazy val index = LocalJoinIndex.build(q)
   private lazy val truth = TestData.materializePts(q)
   private lazy val dims = Array("a1", "a2").map(index.attrIdx)
   private lazy val proj = truth.map(t => dims.map(t(_)))
@@ -115,7 +114,7 @@ class VariationsSpec extends SparkSpec {
       "SELECT COUNT(*) AS cnt FROM z1, z2 WHERE z1.b = z2.b",
       "z1" -> z1, "z2" -> z2)
     val zTruth = TestData.materializePts(zq)
-    val idx = LocalJoinIndex.build(Yannakakis.fullReduce(zq))
+    val idx = LocalJoinIndex.build(zq)
     assert(idx.n == zTruth.length.toDouble)
     // heavy key dominates: the sample must reflect that
     val s = idx.sampleUniform(3000, new Random(23))
@@ -146,7 +145,7 @@ class VariationsSpec extends SparkSpec {
       dim("d3", "k3", "v3", 45), dim("d4", "k4", "v4", 47))).get
     val n = Yannakakis.countJoin(sq)
     assert(n > 0)
-    val idx = LocalJoinIndex.build(Yannakakis.fullReduce(sq))
+    val idx = LocalJoinIndex.build(sq)
     assert(idx.n == n.toDouble)
     assert(idx.dim == 8) // 4 keys + 4 values
     val res = RelKClustering.run(sq, 2, KMedianAlg(),

@@ -127,7 +127,7 @@ class RkMeansSpec extends SparkSpec {
 }
 
 class RelKMeansPPSpec extends SparkSpec {
-  private lazy val q = Yannakakis.fullReduce(TestData.pathQuery(spark))
+  private lazy val q = TestData.pathQuery(spark)
   private lazy val index = LocalJoinIndex.build(q)
   private lazy val truth = TestData.materializePts(q)
   private val k = 3

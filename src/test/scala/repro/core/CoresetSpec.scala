@@ -3,7 +3,7 @@ package repro.core
 import repro.{SparkSpec, TestData}
 import repro.cluster._
 import repro.cluster.Weighted.Pt
-import repro.join.{LocalJoinIndex, Yannakakis}
+import repro.join.LocalJoinIndex
 import scala.util.Random
 
 /** Verifies the heart of the paper: Algorithms 1 and 2 build weighted
@@ -12,7 +12,7 @@ import scala.util.Random
   */
 class CoresetSpec extends SparkSpec {
 
-  private lazy val q = Yannakakis.fullReduce(TestData.pathQuery(spark))
+  private lazy val q = TestData.pathQuery(spark)
   private lazy val index = LocalJoinIndex.build(q)
   private lazy val truth = TestData.materializePts(q)
   private lazy val dims: Array[Int] = Array("a1", "a2").map(index.attrIdx)

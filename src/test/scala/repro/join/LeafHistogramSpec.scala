@@ -6,7 +6,7 @@ import repro.{Oracle, SparkSpec, TestData}
 class LeafHistogramSpec extends SparkSpec {
   import spark.implicits._
 
-  private lazy val path = Yannakakis.fullReduce(TestData.pathQuery(spark))
+  private lazy val path = TestData.pathQuery(spark)
   private def tables = path.relations.map(r => r.name -> r.df)
 
   test("histogram of a1 matches DuckDB group-by over the join") {
@@ -46,8 +46,7 @@ class LeafHistogramSpec extends SparkSpec {
 
   test("an unreduced index leaves out the values of dangling tuples") {
     // most r2 tuples dangle once r3 keeps only c <= 20
-    val raw = TestData.pathQuery(spark)
-    val q = raw.withDfs(Map("r3" -> raw.relation("r3").df.where(col("c") <= 20).cache()))
+    val q = TestData.danglingPathQuery(spark)
     TestData.assertHistogramsMatchDuckDB(spark, q)
     val cs = LocalJoinIndex.build(q).histogram("c").map(_._1)
     assert(cs.nonEmpty && cs.forall(_ <= 20))

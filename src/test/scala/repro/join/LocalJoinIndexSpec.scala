@@ -1,6 +1,7 @@
 package repro.join
 
 import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.types.DecimalType
 import repro.{Oracle, SparkSpec, TestData}
 import scala.util.Random
 
@@ -8,7 +9,7 @@ class LocalJoinIndexSpec extends SparkSpec {
   import spark.implicits._
 
   private lazy val path = TestData.pathQuery(spark)
-  private lazy val index = LocalJoinIndex.build(Yannakakis.fullReduce(path))
+  private lazy val index = LocalJoinIndex.build(path)
   private lazy val truth: Array[Array[Double]] = TestData.materializePts(path)
   private lazy val truthSet: Set[Seq[Double]] = truth.map(_.toSeq).toSet
 
@@ -63,6 +64,20 @@ class LocalJoinIndexSpec extends SparkSpec {
       path.relations.map(r => r.name -> r.df): _*)
   }
 
+  test("CountRect matches DuckDB per-tuple participation counts") {
+    // a box pinning b and c to the values of an r2 tuple counts the join results that tuple takes part in
+    val got = path.relation("r2").df.distinct().collect().toSeq.flatMap { r =>
+      val (b, c) = (r.getAs[Double]("b"), r.getAs[Double]("c"))
+      val (lo, hi) = boxOf(Map("b" -> (b, b), "c" -> (c, c)))
+      Some((b, c, index.countBox(lo, hi).toLong)).filter(_._3 > 0)
+    }
+    Oracle.assertEquivalent(
+      got.toDF("b", "c", "cnt"),
+      "SELECT CAST(r2.b AS DOUBLE) AS b, CAST(r2.c AS DOUBLE) AS c, COUNT(*) AS cnt " +
+        s"${TestData.pathJoinSql} GROUP BY r2.b, r2.c",
+      path.relations.map(r => r.name -> r.df): _*)
+  }
+
   test("CountRect of an empty box is 0") {
     val (lo, hi) = boxOf(Map("a1" -> (1e9, 2e9)))
     assert(index.countBox(lo, hi) == 0.0)
@@ -111,8 +126,8 @@ class LocalJoinIndexSpec extends SparkSpec {
   }
 
   test("index on an unreduced query still counts correctly") {
-    val raw = LocalJoinIndex.build(path) // no fullReduce
-    assert(raw.n == index.n)
+    val reduced = LocalJoinIndex.build(Yannakakis.fullReduce(path))
+    assert(index.n == reduced.n)
   }
 
   test("-0.0 and 0.0 join keys match, as in Spark's equi-join") {
@@ -156,7 +171,7 @@ class LocalJoinIndexSpec extends SparkSpec {
   }
 
   test("build(q) equals build(fullReduce(q)) when most rows dangle") {
-    val q = path.withDfs(Map("r3" -> path.relation("r3").df.where($"c" <= 20).cache()))
+    val q = TestData.danglingPathQuery(spark)
     // r2's rows with c > 20 dangle and are dropped on the driver
     assert(path.relation("r2").df.where($"c" > 20).count() > 0)
     assert(LocalJoinIndex.build(q).bounds._2(index.attrIdx("c")) <= 20)
@@ -243,7 +258,7 @@ class LocalJoinIndexSpec extends SparkSpec {
     val sets = Seq(Seq("b", "c"), Seq("a2"), Seq("a1", "a2"))
     assertBoxesMatchBruteForce(atR2, sets)
     // r2's rows with c > 20 find no r3 group when the build counts participation
-    assertBoxesMatchBruteForce(atR2.withDfs(Map("r3" -> path.relation("r3").df.where($"c" <= 20).cache())), sets)
+    assertBoxesMatchBruteForce(atR2.withDfs(Map("r3" -> TestData.danglingPathQuery(spark).relation("r3").df)), sets)
   }
 
   test("a Long join key beyond 2^53 is rejected before the cast, naming the relation and the column") {
@@ -262,9 +277,35 @@ class LocalJoinIndexSpec extends SparkSpec {
     }
   }
 
+  /** Two relations z1(a1, b) and z2(b, a2) whose key b is a decimal column
+    * of type `t`, read from the given key strings.
+    */
+  private def decimalQuery(t: DecimalType, z1: Seq[(Double, String)], z2: Seq[(String, Double)]): AcyclicQuery = {
+    val r1 = z1.toDF("a1", "b").select($"a1", $"b".cast(t) as "b")
+    val r2 = z2.toDF("b", "a2").select($"b".cast(t) as "b", $"a2")
+    GYO.joinTree(Seq(Relation("z1", r1), Relation("z2", r2))).get
+  }
+
+  test("a decimal join key that merges with another once cast to double is rejected, naming the relation and the column") {
+    // DECIMAL(20,0) 2^53 + 1 reads as 2^53 once cast, so the index would count 2 where Spark counts 1
+    val q = decimalQuery(DecimalType(20, 0),
+      Seq((1.0, "9007199254740992"), (2.0, "9007199254740993")), Seq(("9007199254740992", 7.0)))
+    assert(Yannakakis.countJoin(q) == 1L)
+    val e = intercept[IllegalArgumentException](LocalJoinIndex.build(q))
+    assert(e.getMessage.contains("z1") && e.getMessage.contains("column b"), e.getMessage)
+  }
+
+  test("DECIMAL(10,2) join keys are accepted, and n equals countJoin") {
+    val q = decimalQuery(DecimalType(10, 2),
+      Seq((1.0, "0.10"), (2.0, "0.10"), (3.0, "1.15"), (4.0, "-2.35"), (5.0, "7.77")),
+      Seq(("0.10", 7.0), ("1.15", 8.0), ("1.15", 9.0), ("-2.35", 1.0), ("3.33", 2.0)))
+    assert(Yannakakis.countJoin(q) == 5L)
+    assert(LocalJoinIndex.build(q).n == 5.0)
+  }
+
   test("works on the TPC-H FK join") {
     val tpch = TestData.tpchQuery(spark)
-    val idx = LocalJoinIndex.build(Yannakakis.fullReduce(tpch))
+    val idx = LocalJoinIndex.build(tpch)
     assert(idx.n == Yannakakis.countJoin(tpch).toDouble)
     val s = idx.sampleUniform(50, new Random(7))
     assert(s.length == 50)
