@@ -19,15 +19,18 @@ import scala.util.Random
   * per-grid-cell count/sample queries at RAM-model speed, the same role
   * Yannakakis [55] + Zhao et al. [56] play in the paper's cost model.
   *
-  * Everything a box query would otherwise re-derive by hashing join keys is
-  * precomputed once at build time: per relation, its columns as primitive
-  * arrays, each row's `Int` id of its group (the rows sharing its key with the
-  * parent), each row's group id in every child, and the unfiltered up-counts.
-  * A query is then a filter plus a multiply-accumulate over those arrays, and
-  * a subtree whose attributes the box leaves free reuses the unfiltered
-  * counts, so a call costs O(rows of the relations whose subtree the box
-  * constrains) and allocates only per-group (and, to sample, per-row) arrays
-  * of those relations.
+  * Everything a box query would otherwise re-derive by hashing join keys or
+  * scanning is precomputed once at build time: per relation, its columns as
+  * primitive arrays, each column's rows sorted by value, each row's `Int` id
+  * of its group (the rows sharing its key with the parent), each row's group
+  * id in every child, and the unfiltered up-counts. A query is then a range
+  * scan plus a multiply-accumulate over those arrays: a relation the box cuts
+  * visits only the rows of its narrowest cut range, found by binary search,
+  * and a subtree whose attributes the box leaves free reuses the unfiltered
+  * counts. So a call costs O(log N + rows in the narrowest cut range +
+  * groups) per relation with a cut column, O(rows) per relation with none
+  * but a cut relation below it, and allocates only per-group (and, to
+  * sample, per-row) arrays of those relations.
   *
   * Boxes are full-width: `lo(i)..hi(i)` per global attribute i (±∞ for
   * unconstrained attributes), so projections q_u(D) are handled for free —
@@ -80,18 +83,24 @@ final class LocalJoinIndex private (
   /** |q(D)| (exact). */
   def n: Double = unfiltered.msg(0)(0)
 
-  /** CountRect(q, D, R): |q(D) ∩ R| (exact). O(rows of the relations whose
-    * subtree the box constrains) per call.
+  /** CountRect(q, D, R): |q(D) ∩ R| (exact) for the closed box `lo..hi`, one
+    * bound per attribute (±∞ leaves it free). O(log N + rows in the narrowest
+    * cut range + groups) per relation with a cut column of its own, O(rows)
+    * per relation with none of its own but a cut relation below it.
     */
-  def countBox(lo: Array[Double], hi: Array[Double]): Double =
+  def countBox(lo: Array[Double], hi: Array[Double]): Double = {
+    checkBox(lo, hi)
     up(lo, hi, withRows = false).msg(0)(0)
+  }
 
   /** SampleRect(q, D, R, z): z uniform (with replacement) samples from
     * q(D) ∩ R, as full-width tuples in `attrs` order. Empty if the box holds
-    * no join result.
+    * no join result. The box is given as in [[countBox]].
     */
-  def sampleBox(lo: Array[Double], hi: Array[Double], z: Int, rng: Random): Array[Array[Double]] =
+  def sampleBox(lo: Array[Double], hi: Array[Double], z: Int, rng: Random): Array[Array[Double]] = {
+    checkBox(lo, hi)
     sample(up(lo, hi, withRows = true), z, rng)
+  }
 
   /** z uniform samples from all of q(D) (precomputed weights; O(z · m · log N)). */
   def sampleUniform(z: Int, rng: Random): Array[Array[Double]] =
@@ -142,6 +151,17 @@ final class LocalJoinIndex private (
 
   // ------------------------------------------------------------------
 
+  /** A box has one bound per attribute on each side, none of them NaN: the
+    * range searches compare against every bound, and a NaN would select no
+    * row.
+    */
+  private def checkBox(lo: Array[Double], hi: Array[Double]): Unit = {
+    require(lo.length == dim && hi.length == dim,
+      s"box bounds must have one entry per attribute ($dim), got ${lo.length} and ${hi.length}")
+    require(!lo.exists(_.isNaN) && !hi.exists(_.isNaN),
+      s"box bound is NaN: ${lo.mkString("[", ", ", "]")} .. ${hi.mkString("[", ", ", "]")}")
+  }
+
   /** Whether the box [lo, hi] may exclude a stored value of attribute g. */
   private def cuts(g: Int, lo: Array[Double], hi: Array[Double]): Boolean =
     !(lo(g) <= dataLo(g) && hi(g) >= dataHi(g))
@@ -149,10 +169,10 @@ final class LocalJoinIndex private (
   /** The bottom-up half of Yannakakis' message passing, restricted to the
     * box (`lo == null`: no box): per node, each group's message — the number
     * of join results of the node's subtree, inside the box, that the group's
-    * rows take part in — and, `withRows`, each row's up-count and each
-    * group's cumulative up-counts for top-down sampling. A node whose subtree
-    * the box leaves free takes the unfiltered arrays. Every row is visited in
-    * row order, so each sum is taken in the same order whatever the box.
+    * rows take part in — and, `withRows`, each row's up-count and room for
+    * each group's cumulative up-counts, which top-down sampling fills on
+    * first use (all of them up front when there is no box). A node whose
+    * subtree the box leaves free takes the unfiltered arrays.
     */
   private def up(lo: Array[Double], hi: Array[Double], withRows: Boolean): Up = {
     val cnt = new Array[Array[Double]](nodes.length)
@@ -170,33 +190,54 @@ final class LocalJoinIndex private (
           if (lo == null) Array.emptyIntArray
           else node.attrIdx.indices.filter(k => cuts(node.attrIdx(k), lo, hi)).toArray
         val rowCnt = if (withRows) new Array[Double](node.rows) else null
-        msg(v) = weigh(node, filter.map(node.cols(_)), filter.map(k => lo(node.attrIdx(k))),
-          filter.map(k => hi(node.attrIdx(k))), node.children.map(msg(_)), rowCnt)
+        msg(v) = weigh(node, filter, lo, hi, node.children.map(msg(_)), rowCnt)
         cnt(v) = rowCnt
-        if (withRows) cum(v) = cumulative(node, rowCnt)
+        if (withRows) {
+          cum(v) = new Array[Double](node.members.length)
+          if (lo == null) for (g <- 0 until node.groups) accumulate(node, rowCnt, cum(v), g)
+        }
       }
       v -= 1
     }
     Up(cnt, msg, cum)
   }
 
-  /** One node's step of [[up]]: each row passing the filter (`col(f)` within
-    * `fLo(f)..fHi(f)`) counts the product of its children's messages
-    * (`kidMsg`, in child order), written to `rowCnt` unless null, and each
-    * group's message sums its rows' counts in row order.
+  /** One node's step of [[up]]: each row passing the filter (every local
+    * column `k` in `filter` within `lo..hi` of its attribute) counts the
+    * product of its children's messages (`kidMsg`, in child order), written
+    * to `rowCnt` unless null (rows not visited keep 0), and each group's
+    * message sums its rows' counts. Only the rows of the narrowest cut
+    * column's range are visited, found by binary search with the filter's
+    * own comparisons; with no cut column, every row in row order. Counts
+    * are integers below 2^53, so the sums do not depend on the visiting
+    * order.
     */
-  private def weigh(node: Node, col: Array[Array[Double]], fLo: Array[Double], fHi: Array[Double],
+  private def weigh(node: Node, filter: Array[Int], lo: Array[Double], hi: Array[Double],
                     kidMsg: Array[Array[Double]], rowCnt: Array[Double]): Array[Double] = {
+    var order: Array[Int] = null // null: rows from..to themselves
+    var from = 0
+    var to = node.rows
+    var f = 0
+    while (f < filter.length) {
+      val k = filter(f)
+      val s = node.sorted(k)
+      val a = firstNotBelow(s, lo(node.attrIdx(k)))
+      val b = firstAbove(s, hi(node.attrIdx(k)))
+      if (b - a < to - from) { order = node.byValue(k); from = a; to = b }
+      f += 1
+    }
     val m = new Array[Double](node.groups)
     val gid = node.gid
     val kidGid = node.childGid
-    var i = 0
-    while (i < gid.length) {
+    var p = from
+    while (p < to) {
+      val i = if (order == null) p else order(p)
       var c = 1.0
-      var f = 0
-      while (c > 0 && f < col.length) {
-        val x = col(f)(i)
-        if (x < fLo(f) || x > fHi(f)) c = 0.0
+      f = 0
+      while (c > 0 && f < filter.length) {
+        val k = filter(f)
+        val x = node.cols(k)(i)
+        if (x < lo(node.attrIdx(k)) || x > hi(node.attrIdx(k))) c = 0.0
         f += 1
       }
       var ci = 0
@@ -206,28 +247,22 @@ final class LocalJoinIndex private (
       }
       if (rowCnt != null) rowCnt(i) = c
       m(gid(i)) += c
-      i += 1
+      p += 1
     }
     m
   }
 
-  /** Each group's running sums of `cnt` over its rows, in row order, indexed
-    * like `node.members`.
+  /** Group g's running sums of `cnt` over its rows, in row order, written to
+    * its slots of `cum` (indexed like `node.members`).
     */
-  private def cumulative(node: Node, cnt: Array[Double]): Array[Double] = {
-    val cum = new Array[Double](node.members.length)
-    var g = 0
-    while (g < node.groups) {
-      var acc = 0.0
-      var p = node.groupStart(g)
-      while (p < node.groupStart(g + 1)) {
-        acc += cnt(node.members(p))
-        cum(p) = acc
-        p += 1
-      }
-      g += 1
+  private def accumulate(node: Node, cnt: Array[Double], cum: Array[Double], g: Int): Unit = {
+    var acc = 0.0
+    var p = node.groupStart(g)
+    while (p < node.groupStart(g + 1)) {
+      acc += cnt(node.members(p))
+      cum(p) = acc
+      p += 1
     }
-    cum
   }
 
   private def sample(w: Up, z: Int, rng: Random): Array[Array[Double]] = {
@@ -246,13 +281,16 @@ final class LocalJoinIndex private (
   /** A row of group `g` of node `v`, drawn with probability proportional to
     * its up-count: the smallest position whose cumulative count exceeds u
     * (never a row of count 0: its sum equals the one before it, or is 0 when
-    * first, and u >= 0).
+    * first, and u >= 0). The group's cumulative counts are filled on the
+    * first draw from it: until then its last slot, which ends up holding the
+    * group's message (> 0 for every group a draw enters), reads 0.
     */
   private def draw(v: Int, g: Int, w: Up, rng: Random): Int = {
     val node = nodes(v)
     val cum = w.cum(v)
-    val u = rng.nextDouble() * w.msg(v)(g)
     var lo = node.groupStart(g); var hi = node.groupStart(g + 1) - 1
+    if (cum(hi) == 0) accumulate(node, w.cnt(v), cum, g)
+    val u = rng.nextDouble() * w.msg(v)(g)
     while (lo < hi) {
       val mid = (lo + hi) >>> 1
       if (cum(mid) > u) hi = mid else lo = mid + 1
@@ -278,27 +316,50 @@ object LocalJoinIndex {
   /** One relation of the join tree, keyed by `Int` group ids. */
   private[join] final case class Node(
       name: String,
-      attrIdx: Array[Int],         // global attr index of each local column
-      cols: Array[Array[Double]],  // cols(k)(i): local column k of row i
-      gid: Array[Int],             // each row's group: the rows sharing its key with the parent (root: 0)
-      groupStart: Array[Int],      // group g's rows are members(groupStart(g) until groupStart(g + 1))
-      members: Array[Int],         // rows by group, in row order within a group
-      children: Array[Int],        // indices into `nodes`
-      childGid: Array[Array[Int]], // childGid(ci)(i): the group of child ci that row i's key selects, -1 if none
-      subtreeAttrs: Array[Int]     // global attr indices of the subtree rooted here
+      attrIdx: Array[Int],           // global attr index of each local column
+      cols: Array[Array[Double]],    // cols(k)(i): local column k of row i
+      byValue: Array[Array[Int]],    // byValue(k): the rows in ascending order of column k
+      sorted: Array[Array[Double]],  // sorted(k)(p) = cols(k)(byValue(k)(p))
+      gid: Array[Int],               // each row's group: the rows sharing its key with the parent (root: 0)
+      groupStart: Array[Int],        // group g's rows are members(groupStart(g) until groupStart(g + 1))
+      members: Array[Int],           // rows by group, in row order within a group
+      children: Array[Int],          // indices into `nodes`
+      childGid: Array[Array[Int]],   // childGid(ci)(i): the group of child ci that row i's key selects, -1 if none
+      subtreeAttrs: Array[Int]       // global attr indices of the subtree rooted here
   ) {
     def rows: Int = gid.length
     def groups: Int = groupStart.length - 1
   }
 
   /** One up pass: per node, each row's up-count, each group's message, and
-    * each group's cumulative up-counts (`cnt`, `cum`: null unless asked for).
+    * each group's cumulative up-counts (`cnt`, `cum`: null unless asked for;
+    * under a box, [[LocalJoinIndex.draw]] fills `cum` group by group).
     */
   private final case class Up(cnt: Array[Array[Double]], msg: Array[Array[Double]],
                               cum: Array[Array[Double]])
 
   /** The message of group `g` (0 when no group matches, g = -1). */
   private def msgOf(msg: Array[Double], g: Int): Double = if (g < 0) 0.0 else msg(g)
+
+  /** The first position of ascending `s` whose value is not `< x`. */
+  private def firstNotBelow(s: Array[Double], x: Double): Int = {
+    var lo = 0; var hi = s.length
+    while (lo < hi) {
+      val mid = (lo + hi) >>> 1
+      if (s(mid) < x) lo = mid + 1 else hi = mid
+    }
+    lo
+  }
+
+  /** The first position of ascending `s` whose value is `> x`. */
+  private def firstAbove(s: Array[Double], x: Double): Int = {
+    var lo = 0; var hi = s.length
+    while (lo < hi) {
+      val mid = (lo + hi) >>> 1
+      if (s(mid) > x) hi = mid else lo = mid + 1
+    }
+    lo
+  }
 
   /** Wrapper giving Array[Double] value-based equality/hashing for HashMap keys. */
   private final class Key(val a: Array[Double]) {
@@ -393,10 +454,15 @@ object LocalJoinIndex {
       val members = new Array[Int](rel.rows.length)
       val next = groupStart.clone()
       for (i <- rel.rows.indices) { members(next(gid(i))) = i; next(gid(i)) += 1 }
+      val cols = Array.tabulate(rel.attrIdx.length)(k => rel.rows.map(_(k)))
+      // stored values hold no NaN and no -0.0, so this order agrees with `<`
+      val byValue = cols.map(c => Array.range(0, c.length).sortBy(c(_))(Ordering.Double.TotalOrdering))
       Node(
         rel.name,
         rel.attrIdx,
-        Array.tabulate(rel.attrIdx.length)(k => rel.rows.map(_(k))),
+        cols,
+        byValue,
+        Array.tabulate(cols.length)(k => byValue(k).map(cols(k)(_))),
         gid,
         groupStart,
         members,

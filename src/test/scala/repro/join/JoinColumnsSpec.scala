@@ -36,7 +36,8 @@ class JoinColumnsSpec extends SparkSpec {
 /** On random acyclic schemas whose shared columns are sometimes named with
   * a `cc_` prefix, `countJoin`, the materialized join, `FullJoin` and
   * the index give DuckDB's |q(D)|, and `fullReduce` keeps exactly the rows
-  * that join.
+  * that join. On random boxes, the index's counts are DuckDB's and its
+  * samples are join tuples inside the box.
   */
 class JoinColumnsProps extends Properties("JoinColumns") {
   import JoinColumnsProps.Table
@@ -97,6 +98,49 @@ class JoinColumnsProps extends Properties("JoinColumns") {
       Yannakakis.materialize(q).count() == n &&
         LocalJoinIndex.build(q).n == n.toDouble &&
         (n == 0 || FullJoin.run(q, 1, KMeansAlg(), seed = 1).joinSize == n)
+    }
+
+  /** Boxes over `tables`' attributes in `attrs` order: each attribute is
+    * left free or gets a lower and an upper bound, each ±∞ or a stored value
+    * of the attribute, so that bounds tie with keys and sometimes lo > hi.
+    */
+  private def randomBoxes(tables: Seq[Table], attrs: Array[String], rng: Random): Seq[(Array[Double], Array[Double])] =
+    Seq.fill(6) {
+      val bounds = attrs.map { a =>
+        val stored = tables.filter(_.cols.contains(a)).flatMap(t => t.rows.map(_(t.cols.indexOf(a))))
+        def pick(inf: Double) = if (rng.nextInt(4) == 0) inf else stored(rng.nextInt(stored.length))
+        if (rng.nextBoolean()) (Double.NegativeInfinity, Double.PositiveInfinity)
+        else (pick(Double.NegativeInfinity), pick(Double.PositiveInfinity))
+      }
+      (bounds.map(_._1), bounds.map(_._2))
+    }
+
+  property("countBox matches DuckDB and every sampleBox draw is a join tuple in the box") =
+    Prop.forAllNoShrink(Gen.long) { seed =>
+      import spark.implicits._
+      val tables = randomSchema(seed)
+      val rels = tables.map(t => Relation(t.name, frame(t)))
+      val q = GYO.joinTree(rels).getOrElse(sys.error(s"not acyclic: $tables"))
+      val idx = LocalJoinIndex.build(q)
+      val boxes = randomBoxes(tables, idx.attrs, new Random(seed))
+      val holder = idx.attrs.map(a => tables.find(_.cols.contains(a)).get.name)
+      val sql = boxes.zipWithIndex.map { case ((lo, hi), b) =>
+        val conds = idx.attrs.indices.flatMap { i =>
+          val v = s"CAST(${holder(i)}.${idx.attrs(i)} AS DOUBLE)"
+          (if (lo(i).isInfinite) Nil else Seq(s"$v >= ${lo(i)}")) ++
+            (if (hi(i).isInfinite) Nil else Seq(s"$v <= ${hi(i)}"))
+        }
+        s"SELECT $b AS box, COUNT(*) FILTER (WHERE ${(conds :+ "TRUE").mkString(" AND ")}) AS cnt ${TestData.joinSql(q)}"
+      }.mkString(" UNION ALL ")
+      Oracle.assertEquivalent(boxes.zipWithIndex.map { case ((lo, hi), b) => (b, idx.countBox(lo, hi).toLong) }
+        .toDF("box", "cnt"), sql, rels.map(r => r.name -> r.df): _*)
+      val tuples = TestData.materializePts(q).map(_.toSeq).toSet
+      val rng = new Random(seed)
+      boxes.forall { case (lo, hi) =>
+        val s = idx.sampleBox(lo, hi, 20, rng)
+        s.length == (if (idx.countBox(lo, hi) > 0) 20 else 0) &&
+          s.forall(t => tuples.contains(t.toSeq) && t.indices.forall(i => t(i) >= lo(i) && t(i) <= hi(i)))
+      }
     }
 }
 

@@ -261,6 +261,63 @@ class LocalJoinIndexSpec extends SparkSpec {
     assertBoxesMatchBruteForce(atR2.withDfs(Map("r3" -> TestData.danglingPathQuery(spark).relation("r3").df)), sets)
   }
 
+  test("CountRect/SampleRect match brute force on the path join rooted at r1 and on the 4-chain") {
+    // root only, a key shared by root and child, a middle relation, the deepest leaf
+    assertBoxesMatchBruteForce(path, Seq(Seq("a1", "b"), Seq("b", "c"), Seq("c"), Seq("a2")))
+    assertBoxesMatchBruteForce(TestData.chainQuery(spark), Seq(Seq("a1"), Seq("c", "d"), Seq("d", "a2"), Seq("b", "a2")))
+  }
+
+  test("CountRect of a box cutting both columns of r2, c the narrower, matches brute force") {
+    val r2 = path.relation("r2").df.collect().map(r => (r.getAs[Double]("b"), r.getAs[Double]("c")))
+    val (b0, c0) = r2(r2.length / 2)
+    val bRange = (b0 - 15, b0 + 15)
+    val cRange = (c0, c0 + 1)
+    def within(r: (Double, Double), x: Double) = x >= r._1 && x <= r._2
+    // both ranges cut r2, and the one on its second column holds fewer rows
+    assert(r2.count(t => within(cRange, t._2)) < r2.count(t => within(bRange, t._1)))
+    assert(r2.count(t => within(bRange, t._1)) < r2.length)
+    val (lo, hi) = boxOf(Map("b" -> bRange, "c" -> cRange))
+    assert(bruteCount(lo, hi) > 0)
+    assert(index.countBox(lo, hi) == bruteCount(lo, hi).toDouble)
+  }
+
+  test("CountRect matches brute force on half-infinite boxes and is 0 when lo > hi") {
+    for (a <- index.attrs; x <- Seq(20.0, 50.0)) {
+      for (r <- Seq((Double.NegativeInfinity, x), (x, Double.PositiveInfinity))) {
+        val (lo, hi) = boxOf(Map(a -> r))
+        assert(index.countBox(lo, hi) == bruteCount(lo, hi).toDouble, s"$a in $r")
+      }
+      val (lo, hi) = boxOf(Map(a -> (x, x - 1)))
+      assert(index.countBox(lo, hi) == 0.0 && index.sampleBox(lo, hi, 5, new Random(8)).isEmpty)
+    }
+  }
+
+  test("a box bound of -0.0 selects stored 0.0 values, as 0.0 would") {
+    // -0.0 is stored as 0.0; a search that ordered -0.0 below 0.0 would drop those rows at hi = -0.0
+    val r1 = Seq((-0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (2.0, -0.0)).toDF("a1", "b")
+    val r2 = Seq((0.0, 5.0), (1.0, -0.0), (1.0, 0.0), (0.0, 3.0)).toDF("b", "a2")
+    val q = GYO.joinTree(Seq(Relation("z1", r1), Relation("z2", r2))).get
+    val idx = LocalJoinIndex.build(q)
+    val pts = TestData.materializePts(q)
+    for (a <- idx.attrs; (l, h) <- Seq((-0.0, -0.0), (0.0, -0.0), (-0.0, 0.0), (-1.0, -0.0), (-0.0, 1.0))) {
+      val (lo, hi) = idx.fullBox
+      lo(idx.attrIdx(a)) = l; hi(idx.attrIdx(a)) = h
+      val want = pts.count(t => t.indices.forall(i => t(i) >= lo(i) && t(i) <= hi(i)))
+      assert(want > 0 && idx.countBox(lo, hi) == want.toDouble, s"$a in [$l, $h]")
+    }
+  }
+
+  test("countBox and sampleBox reject a bound of the wrong length or a NaN") {
+    val (lo, hi) = index.fullBox
+    val nanLo = lo.clone(); nanLo(1) = Double.NaN
+    val nanHi = hi.clone(); nanHi(0) = Double.NaN
+    val bad = Seq((lo.init, hi), (lo, hi :+ 0.0), (nanLo, hi), (lo, nanHi))
+    for ((l, h) <- bad) {
+      intercept[IllegalArgumentException](index.countBox(l, h))
+      intercept[IllegalArgumentException](index.sampleBox(l, h, 1, new Random(1)))
+    }
+  }
+
   test("a Long join key beyond 2^53 is rejected before the cast, naming the relation and the column") {
     val big = 1L << 53
     val r2 = Seq((big, 7.0)).toDF("b", "a2")
