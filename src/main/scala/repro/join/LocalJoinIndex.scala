@@ -47,6 +47,9 @@ final class LocalJoinIndex private (
   private val attrIndex: Map[String, Int] = attrs.zipWithIndex.toMap
   def attrIdx(a: String): Int = attrIndex(a)
 
+  /** The stored relation named `name`: the rows the full reduction keeps. */
+  private[join] def stored(name: String): Node = nodes.find(_.name == name).get
+
   /** A box unconstrained in every attribute. */
   def fullBox: (Array[Double], Array[Double]) =
     (Array.fill(dim)(Double.NegativeInfinity), Array.fill(dim)(Double.PositiveInfinity))
@@ -376,10 +379,16 @@ object LocalJoinIndex {
       attrIdx: Array[Int],
       rows: Array[Array[Double]],
       children: Array[Int],
-      sharedGlobal: Array[Int]     // the join columns with the parent, as global attr indices
-  ) {
-    def keyOf(row: Array[Double], globals: Array[Int]): Key =
-      new Key(globals.map(g => row(attrIdx.indexOf(g))))
+      parentKey: Array[Int],       // local positions of the join columns with the parent
+      childKeys: Array[Array[Int]] // per child, local positions of the columns of its parentKey, in its order
+  )
+
+  /** The values of `row` at local positions `pos`. */
+  private def keyOf(row: Array[Double], pos: Array[Int]): Key = {
+    val a = new Array[Double](pos.length)
+    var j = 0
+    while (j < pos.length) { a(j) = row(pos(j)); j += 1 }
+    new Key(a)
   }
 
   /** The largest magnitude up to which every integer is a distinct double. */
@@ -388,11 +397,13 @@ object LocalJoinIndex {
   /** Collect each relation once (cast to double) and build the fully
     * reduced index: a first index over the collected rows gives every row its
     * join participation, and only rows with a positive count are kept.
-    * Every edge joins on [[Relation.joinColumns]], as Spark's passes do.
-    * Columns are stored in global attribute order and rows in a fixed
-    * lexicographic order, so the index depends on the rows alone, not on
-    * Spark's partitioning or plan: `build(q)` equals
-    * `build(Yannakakis.fullReduce(q))`.
+    * This is the program's one full reduction: [[Yannakakis.fullReduce]]
+    * returns the rows kept here. Every edge joins on
+    * [[Relation.joinColumns]], as Spark's passes do. Columns are stored in
+    * global attribute order and rows in a fixed lexicographic order, so the
+    * index depends on the rows alone, not on their order, Spark's
+    * partitioning or plan: `build(Yannakakis.fullReduce(q))` is `build(q)`,
+    * and so is the build of any other full reduction of `q`.
     * A null join key makes its row dangle, as in SQL; any other null, or a
     * NaN, is rejected, and so is a join key that another key of its column
     * could read as once cast to double: a `Long` beyond ±2^53, or a decimal
@@ -410,13 +421,15 @@ object LocalJoinIndex {
       val myIdx = buf.length
       val cols = t.rel.attrs.sortBy(attrIndex)
       val parentKey = parent.map(t.rel.joinColumns).getOrElse(Nil)
-      val keys = parentKey ++ t.children.flatMap(c => t.rel.joinColumns(c.rel))
+      // a child's key columns in the child's order, which is its parentKey's
+      val childKeys = t.children.map(c => c.rel.joinColumns(t.rel))
       buf += Rel(
         t.rel.name,
         cols.map(attrIndex).toArray,
-        collectRows(t.rel, cols, keys.toSet),
+        collectRows(t.rel, cols, (parentKey ++ childKeys.flatten).toSet),
         Array.empty,
-        parentKey.map(attrIndex).toArray
+        parentKey.map(cols.indexOf).toArray,
+        childKeys.map(_.map(cols.indexOf).toArray).toArray
       )
       val kids = t.children.map(c => flatten(c, Some(t.rel))).toArray
       buf(myIdx) = buf(myIdx).copy(children = kids)
@@ -434,19 +447,18 @@ object LocalJoinIndex {
     */
   private def index(attrs: Array[String], rels: Array[Rel]): LocalJoinIndex = {
     // per node, its parent key -> group id, ids in order of first appearance
-    val groupIds = rels.indices.map { v =>
-      val ids = mutable.HashMap.empty[Key, Int]
-      if (v != 0) rels(v).rows.foreach(r => ids.getOrElseUpdate(rels(v).keyOf(r, rels(v).sharedGlobal), ids.size))
-      ids
+    val groupIds = rels.indices.map(_ => mutable.HashMap.empty[Key, Int])
+    val gids = rels.indices.map { v =>
+      val ids = groupIds(v)
+      if (v == 0) new Array[Int](rels(v).rows.length)
+      else rels(v).rows.map(r => ids.getOrElseUpdate(keyOf(r, rels(v).parentKey), ids.size))
     }
     val subtreeAttrs = new Array[Array[Int]](rels.length)
     for (v <- rels.indices.reverse) // children come after parents
       subtreeAttrs(v) = (rels(v).attrIdx ++ rels(v).children.flatMap(subtreeAttrs(_))).distinct.sorted
     val nodes = rels.indices.map { v =>
       val rel = rels(v)
-      val gid =
-        if (v == 0) new Array[Int](rel.rows.length)
-        else rel.rows.map(r => groupIds(v)(rel.keyOf(r, rel.sharedGlobal)))
+      val gid = gids(v)
       val groups = if (v == 0) 1 else groupIds(v).size
       val groupStart = new Array[Int](groups + 1)
       gid.foreach(g => groupStart(g + 1) += 1)
@@ -455,8 +467,7 @@ object LocalJoinIndex {
       val next = groupStart.clone()
       for (i <- rel.rows.indices) { members(next(gid(i))) = i; next(gid(i)) += 1 }
       val cols = Array.tabulate(rel.attrIdx.length)(k => rel.rows.map(_(k)))
-      // stored values hold no NaN and no -0.0, so this order agrees with `<`
-      val byValue = cols.map(c => Array.range(0, c.length).sortBy(c(_))(Ordering.Double.TotalOrdering))
+      val byValue = cols.map(ascending)
       Node(
         rel.name,
         rel.attrIdx,
@@ -467,9 +478,9 @@ object LocalJoinIndex {
         groupStart,
         members,
         rel.children,
-        rel.children.map { c =>
-          rel.rows.map(r => groupIds(c).getOrElse(rel.keyOf(r, rels(c).sharedGlobal), -1))
-        },
+        rel.children.indices.map { ci =>
+          rel.rows.map(r => groupIds(rel.children(ci)).getOrElse(keyOf(r, rel.childKeys(ci)), -1))
+        }.toArray,
         subtreeAttrs(v)
       )
     }
@@ -482,11 +493,11 @@ object LocalJoinIndex {
     */
   private def collectRows(rel: Relation, cols: Seq[String],
                           keys: Set[String]): Array[Array[Double]] = {
-    val keysFirst = cols.indices.sortBy(i => !keys(cols(i)))
+    val keysFirst = cols.indices.sortBy(i => !keys(cols(i))).toArray
     // a Long or decimal join key is collected as is and checked before its cast
     val types = cols.map(c => rel.df.schema(c).dataType)
     val uncast = cols.indices.map(i => keys(cols(i)) && (types(i) == LongType || types(i).isInstanceOf[DecimalType]))
-    rel.df.select(cols.indices.map(i => if (uncast(i)) col(cols(i)) else col(cols(i)).cast("double")): _*)
+    val rows = rel.df.select(cols.indices.map(i => if (uncast(i)) col(cols(i)) else col(cols(i)).cast("double")): _*)
       .collect()
       .filterNot(r => cols.indices.exists(i => r.isNullAt(i) && keys(cols(i))))
       .map { r =>
@@ -497,8 +508,35 @@ object LocalJoinIndex {
           v + 0.0 // -0.0 + 0.0 == +0.0
         }
       }
-      .sortBy(r => keysFirst.map(r))(
-        Ordering.Implicits.seqOrdering[IndexedSeq, Double](Ordering.Double.TotalOrdering))
+    java.util.Arrays.sort(rows, lexicographic(keysFirst))
+    rows
+  }
+
+  /** Rows compared column by column in the order `order`, each column under
+    * `Double.TotalOrdering` (`java.lang.Double.compare`).
+    */
+  private def lexicographic(order: Array[Int]): java.util.Comparator[Array[Double]] = (x, y) => {
+    var c = 0
+    var j = 0
+    while (c == 0 && j < order.length) {
+      c = java.lang.Double.compare(x(order(j)), y(order(j)))
+      j += 1
+    }
+    c
+  }
+
+  /** The positions of `c` in ascending order of value, ties in position
+    * order: each position packed under its value's rank among the sorted
+    * values, so that one primitive sort orders them. Stored values hold no
+    * NaN and no -0.0, so this order agrees with `<`.
+    */
+  private def ascending(c: Array[Double]): Array[Int] = {
+    val values = c.clone()
+    java.util.Arrays.sort(values)
+    // equal values take the same binary-search path, so the same rank
+    val packed = Array.tabulate(c.length)(i => java.util.Arrays.binarySearch(values, c(i)).toLong << 32 | i)
+    java.util.Arrays.sort(packed)
+    packed.map(_.toInt)
   }
 
   /** Join key `r(i)` of type `t` (`Long` or decimal) as a double, which no

@@ -1,15 +1,18 @@
 package repro.join
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{DoubleType, StructField, StructType}
+import scala.jdk.CollectionConverters._
 
-/** Yannakakis-style passes over an acyclic join query, expressed entirely in
-  * the DataFrame API (Catalyst plans the semi-joins / aggregations). All but
-  * [[materialize]] are the Spark references for [[LocalJoinIndex]] in tests.
-  * Every edge joins on [[Relation.joinColumns]], as the index does.
+/** Yannakakis-style passes over an acyclic join query. Every edge joins on
+  * [[Relation.joinColumns]], in the index and in Spark alike.
   *
-  *  - [[fullReduce]]  : classic full reducer — keeps only non-dangling tuples.
-  *  - [[countJoin]]   : |q(D)| without materializing the join.
+  *  - [[fullReduce]]  : classic full reducer — keeps only non-dangling tuples;
+  *    the reduction of [[LocalJoinIndex.build]], run on the driver.
+  *  - [[countJoin]]   : |q(D)| without materializing the join, as a DataFrame
+  *    pass (Catalyst plans the joins and aggregations); the Spark reference
+  *    for the index's `n` in tests.
   *  - [[materialize]] : the full join (two-step baseline only!).
   */
 object Yannakakis {
@@ -22,35 +25,31 @@ object Yannakakis {
   private val Cnt = "__cnt"
   private val ChildCnt = "__ccnt"
 
-  /** `df` without the rows whose `keys` no row of `other` matches (no keys:
-    * all of `df`, or none of it when `other` is empty).
-    */
-  private def semi(df: DataFrame, other: DataFrame, keys: Seq[String]): DataFrame =
-    if (keys.nonEmpty) df.join(other.select(keys.map(col): _*).distinct(), keys, "left_semi")
-    else if (other.isEmpty) df.where(lit(false))
-    else df
-
-  /** Semi-join full reducer; returns the query with dangling tuples removed.
-    * Two passes (bottom-up then top-down) over an arbitrary rooting.
+  /** The Yannakakis full reducer: the query with its dangling rows removed,
+    * each relation holding the rows that take part in some join result, with
+    * their multiplicities. This is the reduction [[LocalJoinIndex.build]]
+    * runs on the driver, so `fullReduce(q)` builds the index of `q` once and
+    * returns, per relation, a local DataFrame of the rows it keeps: the
+    * input's column names in the input's order, every column `DoubleType`
+    * and non-null, holding the values the index stores. Each relation is
+    * collected once, and the reduced frames need no Spark job to collect.
+    *
+    * It takes on `build`'s input contract and its premise that the input
+    * relations fit in driver memory. A null join key makes its row dangle,
+    * as in SQL. Any other null, a NaN, a `Long` join key beyond ±2^53, and
+    * an inexact decimal join key (one that its double, rounded to the
+    * column's scale, does not give back) are rejected, naming the relation
+    * and the column.
     */
   def fullReduce(q: AcyclicQuery): AcyclicQuery = {
-    val tree = q.rooted(q.relations.head.name)
-    val reduced = scala.collection.mutable.Map.empty[String, DataFrame]
-
-    def up(node: JoinTree): DataFrame = {
-      val df = node.children.foldLeft(node.rel.df)((df, c) => semi(df, up(c), node.rel.joinColumns(c.rel)))
-      reduced(node.rel.name) = df
-      df
-    }
-
-    def down(node: JoinTree): Unit = node.children.foreach { c =>
-      reduced(c.rel.name) = semi(reduced(c.rel.name), reduced(node.rel.name), c.rel.joinColumns(node.rel))
-      down(c)
-    }
-
-    up(tree)
-    down(tree)
-    q.withDfs(reduced.toMap)
+    val index = LocalJoinIndex.build(q)
+    q.withDfs(q.relations.map { r =>
+      val node = index.stored(r.name)
+      val cols = r.attrs.map(a => node.cols(node.attrIdx.indexOf(index.attrIdx(a))))
+      val rows = Seq.tabulate(node.rows)(i => Row.fromSeq(cols.map(_(i))))
+      r.name -> r.df.sparkSession.createDataFrame(rows.asJava,
+        StructType(r.attrs.map(StructField(_, DoubleType, nullable = false))))
+    }.toMap)
   }
 
   /** |q(D)| in O(N)-style passes (no join materialization): bottom-up, each

@@ -35,9 +35,10 @@ class JoinColumnsSpec extends SparkSpec {
 
 /** On random acyclic schemas whose shared columns are sometimes named with
   * a `cc_` prefix, `countJoin`, the materialized join, `FullJoin` and
-  * the index give DuckDB's |q(D)|, and `fullReduce` keeps exactly the rows
-  * that join. On random boxes, the index's counts are DuckDB's and its
-  * samples are join tuples inside the box.
+  * the index give DuckDB's |q(D)|, and `fullReduce`, like the Spark
+  * reference reducer, keeps exactly the rows that join. On random boxes,
+  * the index's counts are DuckDB's and its samples are join tuples inside
+  * the box.
   */
 class JoinColumnsProps extends Properties("JoinColumns") {
   import JoinColumnsProps.Table
@@ -88,8 +89,7 @@ class JoinColumnsProps extends Properties("JoinColumns") {
       val dfs = rels.map(r => r.name -> r.df)
       val n = Yannakakis.countJoin(q)
       Oracle.assertEquivalent(Seq(n).toDF("cnt"), s"SELECT COUNT(*) AS cnt ${TestData.joinSql(q)}", dfs: _*)
-      val reduced = Yannakakis.fullReduce(q)
-      for (r <- rels) {
+      for (reduced <- Seq(Yannakakis.fullReduce(q), SemiJoinReducer.fullReduce(q)); r <- rels) {
         val cols = r.attrs.map(c => s"CAST(o.$c AS DOUBLE) AS $c").mkString(", ")
         Oracle.assertEquivalent(reduced.relation(r.name).df,
           s"SELECT $cols FROM ${r.name} AS o WHERE o.rowid IN " +

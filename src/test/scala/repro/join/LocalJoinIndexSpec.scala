@@ -140,12 +140,13 @@ class LocalJoinIndexSpec extends SparkSpec {
     assert(idx.histogram("b").map(_._2).sum == 2.0)
   }
 
-  /** The driver-reduced index of `q` is the index of Spark's full reduction
-    * of `q`: same n, same bounds, same uniform samples.
+  /** The driver-reduced index of `q` is the index of Spark's semi-join
+    * reduction of `q` ([[SemiJoinReducer]]): same n, same bounds, same
+    * uniform samples.
     */
   private def assertSameAsSparkReduced(q: AcyclicQuery): Unit = {
     val mine = LocalJoinIndex.build(q)
-    val viaSpark = LocalJoinIndex.build(Yannakakis.fullReduce(q))
+    val viaSpark = LocalJoinIndex.build(SemiJoinReducer.fullReduce(q))
     assert(mine.n == viaSpark.n)
     assert(mine.bounds._1.toSeq == viaSpark.bounds._1.toSeq)
     assert(mine.bounds._2.toSeq == viaSpark.bounds._2.toSeq)
@@ -157,8 +158,8 @@ class LocalJoinIndexSpec extends SparkSpec {
   }
 
   test("build(q) equals build(fullReduce(q)) on the path join rooted at r1") {
-    // Spark's semi-join puts the key first: the reduced r1 comes back as (b, a1)
-    assert(Yannakakis.fullReduce(path).relation("r1").attrs == Seq("b", "a1"))
+    // Spark's semi-join puts the key first: the reference's reduced r1 comes back as (b, a1)
+    assert(SemiJoinReducer.fullReduce(path).relation("r1").attrs == Seq("b", "a1"))
     assertSameAsSparkReduced(path)
   }
 
