@@ -41,10 +41,4 @@ object Weighted {
     while (i < pts.length) { s += w(i) * obj.fromSq(minDistSq(pts(i), centers)); i += 1 }
     s
   }
-
-  def costUnweighted(pts: Array[Pt], centers: Array[Pt], obj: Objective): Double = {
-    var s = 0.0; var i = 0
-    while (i < pts.length) { s += obj.fromSq(minDistSq(pts(i), centers)); i += 1 }
-    s
-  }
 }

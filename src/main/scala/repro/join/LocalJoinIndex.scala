@@ -1,6 +1,7 @@
 package repro.join
 
 import java.math.RoundingMode
+import java.util.concurrent.{ExecutionException, FutureTask}
 import org.apache.spark.sql.Row
 import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.types.{DataType, DecimalType, LongType}
@@ -15,9 +16,11 @@ import scala.util.Random
   * The index is built from the query's *input* relations — O(N) rows total,
   * which is exactly the premise of relational algorithms (inputs small, join
   * huge). Spark generates the relations; this class collects each of them
-  * once, drops the dangling rows itself, and answers the paper's many tiny
-  * per-grid-cell count/sample queries at RAM-model speed, the same role
-  * Yannakakis [55] + Zhao et al. [56] play in the paper's cost model.
+  * once, all at the same time on threads it creates (which keep the
+  * caller's Spark job group), drops the dangling rows itself, and answers
+  * the paper's many tiny per-grid-cell count/sample queries at RAM-model
+  * speed, the same role Yannakakis [55] + Zhao et al. [56] play in the
+  * paper's cost model.
   *
   * Everything a box query would otherwise re-derive by hashing join keys or
   * scanning is precomputed once at build time: per relation, its columns as
@@ -397,6 +400,12 @@ object LocalJoinIndex {
   /** Collect each relation once (cast to double) and build the fully
     * reduced index: a first index over the collected rows gives every row its
     * join participation, and only rows with a positive count are kept.
+    * The relations are collected at the same time, one thread per relation,
+    * created by the build on the calling thread: each inherits the caller's
+    * Spark local properties, so the collect jobs run in the caller's job
+    * group. All of them have ended when the build returns or throws, and a
+    * failure reported is that of the first failing relation in join-tree
+    * pre-order.
     * This is the program's one full reduction: [[Yannakakis.fullReduce]]
     * returns the rows kept here. Every edge joins on
     * [[Relation.joinColumns]], as Spark's passes do. Columns are stored in
@@ -416,17 +425,21 @@ object LocalJoinIndex {
     val attrIndex = attrs.zipWithIndex.toMap
     val tree = q.rooted(q.relations.head.name)
 
+    // the join tree in pre-order, each relation with what collecting it needs
     val buf = mutable.ArrayBuffer.empty[Rel]
+    val collects = mutable.ArrayBuffer.empty[() => Array[Array[Double]]]
     def flatten(t: JoinTree, parent: Option[Relation]): Int = {
       val myIdx = buf.length
       val cols = t.rel.attrs.sortBy(attrIndex)
       val parentKey = parent.map(t.rel.joinColumns).getOrElse(Nil)
       // a child's key columns in the child's order, which is its parentKey's
       val childKeys = t.children.map(c => c.rel.joinColumns(t.rel))
+      val keys = (parentKey ++ childKeys.flatten).toSet
+      collects += (() => collectRows(t.rel, cols, keys))
       buf += Rel(
         t.rel.name,
         cols.map(attrIndex).toArray,
-        collectRows(t.rel, cols, (parentKey ++ childKeys.flatten).toSet),
+        null,
         Array.empty,
         parentKey.map(cols.indexOf).toArray,
         childKeys.map(_.map(cols.indexOf).toArray).toArray
@@ -436,10 +449,30 @@ object LocalJoinIndex {
       myIdx
     }
     flatten(tree, None)
-    val rels = buf.toArray
+    val rels = buf.toArray.zip(concurrently(buf.map(_.name).toSeq, collects.toSeq))
+      .map { case (rel, rows) => rel.copy(rows = rows) }
     val participation = index(attrs, rels).participation
     index(attrs, rels.zip(participation).map { case (rel, c) =>
       rel.copy(rows = rel.rows.zip(c).collect { case (row, n) if n > 0 => row }) })
+  }
+
+  /** Runs every task at the same time, each on a thread created here, by
+    * the calling thread, so that it inherits the caller's Spark local
+    * properties (its job group among them: a pooled thread made earlier
+    * would not), and returns their results in task order. Waits for every
+    * thread to end, also on failure; the failure thrown is that of the first
+    * failing task in task order, as its own exception.
+    */
+  private def concurrently[A](names: Seq[String], tasks: Seq[() => A]): Seq[A] = {
+    val futures = tasks.map(t => new FutureTask[A](() => t()))
+    val threads = names.zip(futures).map { case (n, f) => new Thread(f, s"LocalJoinIndex.build $n") }
+    try {
+      threads.foreach(_.start())
+      futures.map { f =>
+        try f.get()
+        catch { case e: ExecutionException => throw e.getCause }
+      }
+    } finally threads.foreach(_.join()) // a thread never started joins at once
   }
 
   /** The index over `rels` (parents before children): group ids by hashing

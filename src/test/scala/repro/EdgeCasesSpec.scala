@@ -98,8 +98,8 @@ class EdgeCasesSpec extends SparkSpec {
     val res = RelKClustering.run(q, 3, KMeansAlg(),
       CoreConf(sampleSize = 2000, seed = 9), FastBatched)
     val truth = TestData.materializePts(q)
-    val mine = Weighted.costUnweighted(truth, res.centers, Means)
-    val base = Weighted.costUnweighted(truth,
+    val mine = TestData.costUnweighted(truth, res.centers, Means)
+    val base = TestData.costUnweighted(truth,
       KMeansAlg().cluster(truth, Array.fill(truth.length)(1.0), 3, new Random(10)), Means)
     assert(mine <= 1.6 * base, s"mine=$mine base=$base")
   }

@@ -3,6 +3,8 @@ package repro
 import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.functions.col
 import repro.baselines.FullJoin
+import repro.cluster.{Objective, Weighted}
+import repro.cluster.Weighted.Pt
 import repro.join.{AcyclicQuery, GYO, LocalJoinIndex, Relation, Yannakakis}
 import scala.collection.mutable
 
@@ -63,6 +65,15 @@ object TestData {
     */
   def materializePts(q: AcyclicQuery): Array[Array[Double]] =
     FullJoin.toPts(Yannakakis.materialize(q).collect())
+
+  /** v_C / mu_C over a point set, each point once: the cost of `centers`
+    * over a materialized join.
+    */
+  def costUnweighted(pts: Array[Pt], centers: Array[Pt], obj: Objective): Double = {
+    var s = 0.0; var i = 0
+    while (i < pts.length) { s += obj.fromSq(Weighted.minDistSq(pts(i), centers)); i += 1 }
+    s
+  }
 
   /** The DuckDB FROM/WHERE clause of the path join. */
   val pathJoinSql: String =

@@ -23,7 +23,7 @@ class VariationsSpec extends SparkSpec {
     val rng = new Random(seed)
     val sub = Array.fill(1500)(proj(rng.nextInt(proj.length)))
     val x = KMedianAlg().cluster(sub, Array.fill(sub.length)(1.0), 9, rng)
-    (x, Weighted.costUnweighted(proj, x, Median) * 1.02)
+    (x, TestData.costUnweighted(proj, x, Median) * 1.02)
   }
 
   private def batched(conf: CoreConf, seed: Long): ClusterOut = {
@@ -39,7 +39,7 @@ class VariationsSpec extends SparkSpec {
     (1 to 8).map { _ =>
       val y = Array.fill(3)(Array(rng.nextDouble() * 100, rng.nextDouble() * 100))
       math.abs(Weighted.cost(out.corePts, out.coreW, y, Median) -
-        Weighted.costUnweighted(proj, y, Median)) / Weighted.costUnweighted(proj, y, Median)
+        TestData.costUnweighted(proj, y, Median)) / TestData.costUnweighted(proj, y, Median)
     }.max
   }
 
@@ -84,8 +84,8 @@ class VariationsSpec extends SparkSpec {
       SlowDeterministic, attrsOverride = Some(Seq("a1", "a2")))
     val projSet = proj.map(_.toSeq).toSet
     res.centers.foreach(c => assert(projSet.contains(c.toSeq)))
-    val mine = Weighted.costUnweighted(proj, res.centers, Means)
-    val base = Weighted.costUnweighted(proj,
+    val mine = TestData.costUnweighted(proj, res.centers, Means)
+    val base = TestData.costUnweighted(proj,
       KMeansAlg().cluster(proj, Array.fill(proj.length)(1.0), 3, new Random(9)), Means)
     assert(mine <= 4.6 * base, s"mine=$mine base=$base")
   }
@@ -94,11 +94,11 @@ class VariationsSpec extends SparkSpec {
     val rng = new Random(10)
     val sub = Array.fill(1500)(proj(rng.nextInt(proj.length)))
     val x = KMeansAlg().cluster(sub, Array.fill(sub.length)(1.0), 9, rng)
-    val r = Weighted.costUnweighted(proj, x, Means) * 1.02
+    val r = TestData.costUnweighted(proj, x, Means) * 1.02
     val out = RelClusteringFast.run(index, dims, x, 2.0, r, 3, KMeansAlg(),
       CoreConf(cellsPerSide = 8, perCellSamples = 32, heavyFraction = 0.02, seed = 10), rng)
-    val mine = Weighted.costUnweighted(proj, out.centers, Means)
-    val base = Weighted.costUnweighted(proj,
+    val mine = TestData.costUnweighted(proj, out.centers, Means)
+    val base = TestData.costUnweighted(proj,
       KMeansAlg().cluster(proj, Array.fill(proj.length)(1.0), 3, new Random(11)), Means)
     assert(mine <= 2.0 * base, s"mine=$mine base=$base")
   }
@@ -124,8 +124,8 @@ class VariationsSpec extends SparkSpec {
     assert(math.abs(heavyShare - sampleShare) < 0.05, s"$heavyShare vs $sampleShare")
     val res = RelKClustering.run(zq, 3, KMeansAlg(),
       CoreConf(sampleSize = 3000, seed = 24), FastBatched)
-    val mine = Weighted.costUnweighted(zTruth, res.centers, Means)
-    val base = Weighted.costUnweighted(zTruth,
+    val mine = TestData.costUnweighted(zTruth, res.centers, Means)
+    val base = TestData.costUnweighted(zTruth,
       KMeansAlg().cluster(zTruth, Array.fill(zTruth.length)(1.0), 3, new Random(25)), Means)
     assert(mine <= 1.8 * base, s"mine=$mine base=$base")
   }

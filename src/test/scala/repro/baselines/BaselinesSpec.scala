@@ -22,7 +22,7 @@ class FullJoinSpec extends SparkSpec {
     val rng = new Random(2)
     val centers = Array.fill(3)(Array.fill(q.allAttrs.size)(rng.nextDouble() * 100))
     val viaSpark = CostEval.cost(q, centers, q.allAttrs, Median)
-    val viaDriver = Weighted.costUnweighted(truth, centers, Median)
+    val viaDriver = TestData.costUnweighted(truth, centers, Median)
     assert(math.abs(viaSpark - viaDriver) <= 1e-6 * viaDriver, s"$viaSpark vs $viaDriver")
   }
 
@@ -30,14 +30,14 @@ class FullJoinSpec extends SparkSpec {
     val rng = new Random(3)
     val centers = Array.fill(2)(Array.fill(q.allAttrs.size)(rng.nextDouble() * 100))
     val viaSpark = CostEval.cost(q, centers, q.allAttrs, Means)
-    val viaDriver = Weighted.costUnweighted(truth, centers, Means)
+    val viaDriver = TestData.costUnweighted(truth, centers, Means)
     assert(math.abs(viaSpark - viaDriver) <= 1e-6 * viaDriver)
   }
 
   test("CostEval handles a single center") {
     val centers = Array(Array.fill(q.allAttrs.size)(50.0))
     val viaSpark = CostEval.cost(q, centers, q.allAttrs, Median)
-    val viaDriver = Weighted.costUnweighted(truth, centers, Median)
+    val viaDriver = TestData.costUnweighted(truth, centers, Median)
     assert(math.abs(viaSpark - viaDriver) <= 1e-6 * viaDriver)
   }
 
@@ -67,8 +67,8 @@ class RkMeansSpec extends SparkSpec {
   test("rk-means cost is within its (large) constant factor of the baseline") {
     val res = RkMeans.run(q, k, KMeansAlg(), seed = 3)
     val base = FullJoin.run(q, k, KMeansAlg(), seed = 3)
-    val mine = Weighted.costUnweighted(truth, res.centers, Means)
-    val ref = Weighted.costUnweighted(truth, base.centers, Means)
+    val mine = TestData.costUnweighted(truth, res.centers, Means)
+    val ref = TestData.costUnweighted(truth, base.centers, Means)
     // Table 1: gamma^2 + 4 gamma sqrt(gamma) + 4 gamma = 9 at gamma = 1
     assert(mine <= 9.5 * ref, s"rk-means=$mine baseline=$ref")
     assert(mine >= 0.9 * ref)
@@ -144,8 +144,8 @@ class RelKMeansPPSpec extends SparkSpec {
     val sample = index.sampleUniform(4000, new Random(2))
     val res = RelKMeansPP.run(sample, index.n, k, KMeansAlg(), seed = 2)
     val base = FullJoin.run(q, k, KMeansAlg(), seed = 2)
-    val mine = Weighted.costUnweighted(truth, res.centers, Means)
-    val ref = Weighted.costUnweighted(truth, base.centers, Means)
+    val mine = TestData.costUnweighted(truth, res.centers, Means)
+    val ref = TestData.costUnweighted(truth, base.centers, Means)
     assert(mine <= 6.0 * ref, s"rel-k-means++=$mine baseline=$ref")
   }
 
@@ -153,8 +153,8 @@ class RelKMeansPPSpec extends SparkSpec {
     val sample = index.sampleUniform(4000, new Random(3))
     val centers = UniformCoreset.run(sample, index.n, k, KMeansAlg(), seed = 3)
     val base = FullJoin.run(q, k, KMeansAlg(), seed = 3)
-    val mine = Weighted.costUnweighted(truth, centers, Means)
-    val ref = Weighted.costUnweighted(truth, base.centers, Means)
+    val mine = TestData.costUnweighted(truth, centers, Means)
+    val ref = TestData.costUnweighted(truth, base.centers, Means)
     assert(centers.length == k)
     assert(mine <= 4.0 * ref, s"uniform=$mine baseline=$ref")
   }
@@ -163,8 +163,8 @@ class RelKMeansPPSpec extends SparkSpec {
     val sample = index.sampleUniform(4000, new Random(4))
     val centers = UniformCoreset.run(sample, index.n, k, KMedianAlg(), seed = 4)
     val base = FullJoin.run(q, k, KMedianAlg(), seed = 4)
-    val mine = Weighted.costUnweighted(truth, centers, Median)
-    val ref = Weighted.costUnweighted(truth, base.centers, Median)
+    val mine = TestData.costUnweighted(truth, centers, Median)
+    val ref = TestData.costUnweighted(truth, base.centers, Median)
     assert(mine <= 3.0 * ref)
   }
 }

@@ -6,6 +6,7 @@ import Prop.forAll
 /** Property tests (ScalaCheck) for the weighted-point-set primitives. */
 object WeightedProps extends Properties("Weighted") {
   import Weighted._
+  import repro.TestData.costUnweighted
 
   private val pt: Gen[Array[Double]] =
     Gen.listOfN(3, Gen.chooseNum(-100.0, 100.0)).map(_.toArray)

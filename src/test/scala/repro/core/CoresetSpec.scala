@@ -32,7 +32,7 @@ class CoresetSpec extends SparkSpec {
     val w = Array.fill(sub.length)(1.0)
     val alg: GammaAlg = if (obj == Means) KMeansAlg() else KMedianAlg()
     val x = alg.cluster(sub, w, k * k, rng)
-    val r = Weighted.costUnweighted(proj, x, obj) * 1.02
+    val r = TestData.costUnweighted(proj, x, obj) * 1.02
     (x, r)
   }
 
@@ -42,7 +42,7 @@ class CoresetSpec extends SparkSpec {
     (1 to trials).map { _ =>
       val y = Array.fill(k)(Array(rng.nextDouble() * 100, rng.nextDouble() * 100))
       val onCore = Weighted.cost(corePts, coreW, y, obj)
-      val onAll = Weighted.costUnweighted(proj, y, obj)
+      val onAll = TestData.costUnweighted(proj, y, obj)
       math.abs(onCore - onAll) / onAll
     }.max
   }
@@ -187,7 +187,7 @@ class CoresetSpec extends SparkSpec {
         KMedianAlg(), conf, new Random(20))
     )
     outs.foreach { out =>
-      val trueCost = Weighted.costUnweighted(proj, out.centers, Median)
+      val trueCost = TestData.costUnweighted(proj, out.centers, Median)
       assert(trueCost <= out.rU * 1.15, s"cost=$trueCost rU=${out.rU}")
       assert(out.rU <= trueCost * 3.0, s"rU=${out.rU} not a tight certificate of $trueCost")
     }
@@ -201,8 +201,8 @@ class CoresetSpec extends SparkSpec {
       KMedianAlg(), conf, rng)
     // S has k centers vs X's k^2, so cost grows — but boundedly (X is
     // alpha-approx and S is (1+eps)gamma-approx of the k-center optimum)
-    val costS = Weighted.costUnweighted(proj, out.centers, Median)
-    val costX = Weighted.costUnweighted(proj, x, Median)
+    val costS = TestData.costUnweighted(proj, out.centers, Median)
+    val costX = TestData.costUnweighted(proj, x, Median)
     assert(costS >= costX * 0.5)
     assert(costS <= math.max(costX * 25, costX + 1e-6), s"S=$costS X=$costX")
   }

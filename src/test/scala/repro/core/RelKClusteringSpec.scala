@@ -23,7 +23,7 @@ class RelKClusteringSpec extends SparkSpec {
   private def trueCost(centers: Array[Array[Double]], obj: Objective,
                        dims: Option[Seq[Int]] = None): Double = {
     val pts = dims.map(ds => truth.map(t => ds.map(t(_)).toArray)).getOrElse(truth)
-    Weighted.costUnweighted(pts, centers, obj)
+    TestData.costUnweighted(pts, centers, obj)
   }
 
   private lazy val baselineMedian =
@@ -82,7 +82,7 @@ class RelKClusteringSpec extends SparkSpec {
       attrsOverride = Some(Seq("a1", "a2")))
     val mine = trueCost(res.centers, Median, Some(dims))
     val pts2 = truth.map(t => dims.map(t(_)).toArray)
-    val base = Weighted.costUnweighted(pts2,
+    val base = TestData.costUnweighted(pts2,
       KMedianAlg().cluster(pts2, Array.fill(pts2.length)(1.0), k, new Random(2)), Median)
     assert(mine <= 1.4 * base, s"faithful=$mine base=$base")
   }
@@ -93,7 +93,7 @@ class RelKClusteringSpec extends SparkSpec {
       attrsOverride = Some(Seq("a1", "a2")))
     val mine = trueCost(res.centers, Median, Some(dims))
     val pts2 = truth.map(t => dims.map(t(_)).toArray)
-    val base = Weighted.costUnweighted(pts2,
+    val base = TestData.costUnweighted(pts2,
       KMedianAlg().cluster(pts2, Array.fill(pts2.length)(1.0), k, new Random(3)), Median)
     assert(mine <= 1.4 * base, s"slow=$mine base=$base")
   }
@@ -103,7 +103,7 @@ class RelKClusteringSpec extends SparkSpec {
       attrsOverride = Some(Seq("a1")))
     val i = q.allAttrs.indexOf("a1")
     val pts1 = truth.map(t => Array(t(i)))
-    val mine = Weighted.costUnweighted(pts1, res.centers, Median)
+    val mine = TestData.costUnweighted(pts1, res.centers, Median)
     assert(math.abs(mine - res.rU) <= 0.02 * math.max(mine, res.rU),
       "leaf r_u must be the exact cost")
   }
@@ -111,7 +111,7 @@ class RelKClusteringSpec extends SparkSpec {
   test("k = 1 (means) lands near the grand centroid") {
     val res = RelKClustering.run(q, 1, KMeansAlg(), conf, FastBatched)
     val centroid = q.allAttrs.indices.map(i => truth.map(_(i)).sum / truth.length).toArray
-    val spread = math.sqrt(Weighted.costUnweighted(truth, Array(centroid), Means) / truth.length)
+    val spread = math.sqrt(TestData.costUnweighted(truth, Array(centroid), Means) / truth.length)
     assert(Weighted.dist(res.centers(0), centroid) <= 0.35 * spread,
       s"center=${res.centers(0).toSeq} centroid=${centroid.toSeq}")
   }
@@ -132,8 +132,8 @@ class RelKClusteringSpec extends SparkSpec {
     val res = RelKClustering.run(tri, 2, KMedianAlg(), conf.copy(sampleSize = 2000), FastBatched)
     assert(res.centers.length == 2)
     val triTruth = TestData.materializePts(tri)
-    val mine = Weighted.costUnweighted(triTruth, res.centers, Median)
-    val base = Weighted.costUnweighted(triTruth,
+    val mine = TestData.costUnweighted(triTruth, res.centers, Median)
+    val base = TestData.costUnweighted(triTruth,
       KMedianAlg().cluster(triTruth, Array.fill(triTruth.length)(1.0), 2, new Random(4)), Median)
     assert(mine <= 1.5 * base, s"triangle: relational=$mine base=$base")
   }

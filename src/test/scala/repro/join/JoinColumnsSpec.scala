@@ -5,7 +5,7 @@ import org.apache.spark.sql.types.{DoubleType, StructField, StructType}
 import org.scalacheck.{Gen, Prop, Properties, Test}
 import repro.{Oracle, SparkSpec, TestData}
 import repro.baselines.{CostEval, FullJoin}
-import repro.cluster.{KMeansAlg, Means, Weighted}
+import repro.cluster.{KMeansAlg, Means}
 import scala.jdk.CollectionConverters._
 import scala.util.Random
 
@@ -29,7 +29,7 @@ class JoinColumnsSpec extends SparkSpec {
     assert(LocalJoinIndex.build(q).n == 5.0)
     val cost = CostEval.cost(q, full.centers, q.allAttrs, Means)
     val truth = TestData.materializePts(q)
-    assert(math.abs(cost - Weighted.costUnweighted(truth, full.centers, Means)) <= 1e-9 * (1 + cost))
+    assert(math.abs(cost - TestData.costUnweighted(truth, full.centers, Means)) <= 1e-9 * (1 + cost))
   }
 }
 

@@ -1,8 +1,11 @@
 package repro.join
 
-import org.apache.spark.sql.functions.col
+import java.util.concurrent.ConcurrentLinkedQueue
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.sql.functions.{col, when}
 import org.apache.spark.sql.types.DecimalType
 import repro.{Oracle, SparkSpec, TestData}
+import scala.jdk.CollectionConverters._
 import scala.util.Random
 
 class LocalJoinIndexSpec extends SparkSpec {
@@ -200,6 +203,58 @@ class LocalJoinIndexSpec extends SparkSpec {
       val e = intercept[IllegalArgumentException](LocalJoinIndex.build(q))
       assert(e.getMessage.contains("z1") && e.getMessage.contains("a1"), e.getMessage)
     }
+  }
+
+  /** The threads of builds still alive: a build names its threads so. */
+  private def buildThreads(): Set[String] =
+    Thread.getAllStackTraces.keySet.asScala.map(_.getName).filter(_.startsWith("LocalJoinIndex.build")).toSet
+
+  test("build runs one Spark job per relation, all in the caller's job group, and leaves no thread alive") {
+    val sc = spark.sparkContext
+    index // the path join's cached relations are materialized: one collect job each
+    val groups = new ConcurrentLinkedQueue[String]()
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        groups.add(Option(e.properties).flatMap(p => Option(p.getProperty("spark.jobGroup.id"))).getOrElse(""))
+    }
+    sc.addSparkListener(listener)
+    try {
+      // two builds in turn: threads kept from the first would run the second's jobs in its group
+      for (g <- Seq("f", "g")) {
+        sc.setJobGroup(g, "build")
+        try LocalJoinIndex.build(path)
+        finally sc.clearJobGroup()
+        assert(buildThreads().isEmpty)
+      }
+      // events arrive in order: once the sentinel job's start is seen, so are the build's
+      sc.setJobGroup("sentinel", "listener drain")
+      try sc.parallelize(Seq(1), 1).count()
+      finally sc.clearJobGroup()
+      val deadline = System.nanoTime() + 30_000_000_000L
+      while (!groups.contains("sentinel")) {
+        assert(System.nanoTime() < deadline, "the listener bus did not drain within 30 s")
+        Thread.sleep(5)
+      }
+    } finally sc.removeSparkListener(listener)
+    val m = path.relations.length
+    assert(groups.asScala.toSeq == Seq.fill(m)("f") ++ Seq.fill(m)("g") :+ "sentinel")
+  }
+
+  test("of two relations breaking the input contract, build reports the first in join-tree pre-order") {
+    // pre-order from the root z1: z1, z2, z3; z2's NaN sits in the last of 20000 rows a Spark job makes,
+    // so z3's local null is usually found first
+    val z1 = Seq((1.0, 0.0), (2.0, 1.0)).toDF("a1", "b")
+    val z2 = spark.range(0, 20000, 1, 4).select(($"id" % 2).cast("double") as "b",
+      ($"id" % 3).cast("double") as "c", when($"id" === 19999, Double.NaN).otherwise($"id".cast("double")) as "v")
+    val z3 = Seq((0.0, Option(5.0)), (1.0, None)).toDF("c", "a2")
+    val q = GYO.joinTree(Seq(Relation("z1", z1), Relation("z2", z2), Relation("z3", z3))).get
+    assert(q.rooted("z1").relations.map(_.name) == Seq("z1", "z2", "z3"))
+    val messages = (1 to 20).map { _ =>
+      val e = intercept[IllegalArgumentException](LocalJoinIndex.build(q))
+      assert(buildThreads().isEmpty)
+      e.getMessage
+    }.toSet
+    assert(messages == Set("requirement failed: relation z2: NaN in column v"))
   }
 
   /** countBox equals the brute-force count over the materialized join, and
